@@ -36,6 +36,7 @@ from .ortho import (
     MAX_VARS_ENV,
     OrthogonalSystem,
     format_minterm,
+    minterm_labels,
     orthogonalize,
     x_from_z,
 )
@@ -309,8 +310,9 @@ def _cmd_decompose(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
             writer.writerow([i, " ".join(map(str, c.zeroed))])
     else:
         for i, c in enumerate(parts, 1):
-            if c.zeroed:
-                body = ", ".join(f"{format_minterm(a, c.n)} = 0" for a in c.zeroed)
+            labels = minterm_labels(c.zeroed, c.n)
+            if labels:
+                body = " = 0, ".join(labels) + " = 0"
             else:
                 body = "(no forced-zero minterms)"
             print(f"component {i}: {body}", file=out)

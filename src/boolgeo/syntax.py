@@ -14,6 +14,9 @@ binds tighter than meet, meet tighter than join.  Juxtaposition is not
 meet (``x1x2`` is a single name).  The word ``vars`` is reserved for the
 optional declaration header.  Files conventionally use the ``.beq``
 extension, UTF-8 encoded.
+
+Terms nest at most :data:`MAX_TERM_DEPTH` levels deep; deeper input is a
+:class:`ParseError`, never a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -90,6 +93,22 @@ class System:
             for name in term_variables(eq.lhs) + term_variables(eq.rhs):
                 if name not in declared:
                     raise ValueError(f"equation uses undeclared variable {name!r}")
+
+
+def _deeper_than(t: Term, limit: int) -> bool:
+    """True when some root-to-leaf path of ``t`` passes more than ``limit``
+    operators and complements.  Iterative, so any depth is safe."""
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > limit:
+            return True
+        if isinstance(node, (Join, Meet)):
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+        elif isinstance(node, Complement):
+            stack.append((node.term, depth + 1))
+    return False
 
 
 def term_variables(t: Term) -> list[str]:
@@ -200,11 +219,19 @@ def _tokenize(text: str) -> list[_Token]:
 
 # --- parser ------------------------------------------------------------
 
+# Deepest term accepted, counted two ways: binary operators plus
+# complements on any root-to-leaf path of the tree (so a flat chain of k
+# joins is k - 1 deep), and parentheses open at once.  Term walkers recurse
+# up to three frames per tree level and the parser four per parenthesis, so
+# 200 stays below Python's default recursion limit of 1000.
+MAX_TERM_DEPTH = 200
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open_parens = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -277,12 +304,29 @@ class _Parser:
         return names
 
     def parse_equation(self) -> Equation:
-        lhs = self.parse_term()
+        lhs = self.parse_bounded_term()
         if self.peek().kind != _EQ:
             raise self.fail("expected '=' in equation")
         self.advance()
-        rhs = self.parse_term()
+        rhs = self.parse_bounded_term()
         return Equation(lhs, rhs)
+
+    def too_deep(self, tok: _Token) -> ParseError:
+        return ParseError(
+            f"term nested more than {MAX_TERM_DEPTH} levels deep", tok.line, tok.column
+        )
+
+    def parse_bounded_term(self) -> Term:
+        """A whole term, rejected when deeper than MAX_TERM_DEPTH.
+
+        Every level of depth is one operator or complement token, so a term
+        spanning at most MAX_TERM_DEPTH tokens needs no depth walk.
+        """
+        first, start = self.peek(), self.pos
+        t = self.parse_term()
+        if self.pos - start > MAX_TERM_DEPTH and _deeper_than(t, MAX_TERM_DEPTH):
+            raise self.too_deep(first)
+        return t
 
     def parse_term(self) -> Term:
         t = self.parse_factor()
@@ -299,13 +343,19 @@ class _Parser:
         return t
 
     def parse_unary(self) -> Term:
-        if self.peek().kind == _BANG:
+        # A run of '!' prefixes is counted in a loop, not parsed by
+        # recursion; each complements everything after it, prime included.
+        bangs = 0
+        while self.peek().kind == _BANG:
             self.advance()
-            return Complement(self.parse_unary())
+            bangs += 1
         t = self.parse_atom()
         if self.peek().kind == _PRIME:
             self.advance()
-            return Complement(t)
+            t = Complement(t)
+        while bangs:
+            t = Complement(t)
+            bangs -= 1
         return t
 
     def parse_atom(self) -> Term:
@@ -317,11 +367,15 @@ class _Parser:
             self.advance()
             return Const(tok.text == "1")
         if tok.kind == _LPAREN:
+            if self.open_parens >= MAX_TERM_DEPTH:
+                raise self.too_deep(tok)
+            self.open_parens += 1
             self.advance()
             t = self.parse_term()
             if self.peek().kind != _RPAREN:
                 raise self.fail("expected ')'")
             self.advance()
+            self.open_parens -= 1
             return t
         if tok.kind == _VARS:
             raise self.fail("the word 'vars' is reserved")
@@ -341,7 +395,7 @@ def parse_term(text: str) -> Term:
     """Parse a single term (no '=')."""
     parser = _Parser(_tokenize(text))
     parser.skip_seps()
-    t = parser.parse_term()
+    t = parser.parse_bounded_term()
     parser.skip_seps()
     if parser.peek().kind != _EOF:
         raise parser.fail(f"unexpected trailing input {parser.peek().text!r}")

@@ -296,6 +296,18 @@ class TestExitCodes:
         code, _, err = invoke(["orthogonalize", "-e", "{not json"])
         assert code == 1
 
+    def test_deep_nesting_is_1(self):
+        text = "(" * 1200 + "x1" + ")" * 1200 + " = x1 * x2"
+        code, out, err = invoke(["orthogonalize"], text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 1, column 201: term nested")
+
+    def test_long_flat_join_is_1(self):
+        text = " + ".join(f"x{i % 4 + 1}" for i in range(3000)) + " = x1"
+        code, out, err = invoke(["orthogonalize"], text)
+        assert (code, out) == (1, "")
+        assert "nested more than" in err
+
     def test_limit_is_2(self):
         code, _, err = invoke(
             ["orthogonalize", "-e", "x1 = x2", "--max-vars", "1"]

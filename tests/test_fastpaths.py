@@ -1,0 +1,257 @@
+"""The linear-time mask <-> index-set paths against bit-by-bit references.
+
+Each reference below is the straightforward per-bit loop; the library's
+fast paths (string scans, bytearray builds, whole-list checks, half-width
+label tables) must agree with it exactly, error messages included.
+"""
+
+import io
+import json
+import random
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boolgeo import OrthogonalSystem, ParseError, SystemMismatchError
+from boolgeo.algebra import Element
+from boolgeo.cli import build_parser, config_from_args, run
+from boolgeo.ortho import ZPoint, format_minterm, minterm_labels
+
+FAST = settings(max_examples=60, deadline=None)
+
+
+# --- references -------------------------------------------------------------
+
+
+def ref_zeroed(n, mask):
+    return tuple(alpha for alpha in range(1 << n) if (mask >> alpha) & 1)
+
+
+def ref_surviving(n, mask):
+    return tuple(alpha for alpha in range(1 << n) if not (mask >> alpha) & 1)
+
+
+def ref_mask(indices):
+    mask = 0
+    for alpha in indices:
+        mask |= 1 << alpha
+    return mask
+
+
+def ref_label(alpha, n):
+    return "z_(" + ",".join(str((alpha >> i) & 1) for i in range(n)) + ")"
+
+
+def ref_json_error(n, indices):
+    """The ordered validation loop: the message for the first bad entry,
+    or None when every entry is valid."""
+    seen = set()
+    for alpha in indices:
+        if not isinstance(alpha, int) or isinstance(alpha, bool):
+            return f"minterm index {alpha!r} is not an integer"
+        if not 0 <= alpha < (1 << n):
+            return f"minterm index {alpha} out of range for n={n}"
+        if alpha in seen:
+            return f"duplicate minterm index {alpha}"
+        seen.add(alpha)
+    return None
+
+
+# --- strategies -------------------------------------------------------------
+
+
+@st.composite
+def systems(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    full = (1 << (1 << n)) - 1
+    mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return n, mask
+
+
+@st.composite
+def json_index_lists(draw):
+    """(n, A) where A is valid entries, then maybe one bad entry of a
+    chosen kind, then arbitrary further entries."""
+    n = draw(st.integers(1, 8))
+    size = 1 << n
+    prefix = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=20))
+    kinds = ["none", "bool", "float", "negative", "range", "string"]
+    if prefix:
+        kinds.append("duplicate")
+    kind = draw(st.sampled_from(kinds))
+    bad = {
+        "none": [],
+        "bool": [draw(st.booleans())],
+        "float": [draw(st.floats(allow_nan=False))],
+        "negative": [draw(st.integers(max_value=-1))],
+        "range": [draw(st.integers(min_value=size))],
+        "string": [draw(st.text(max_size=3))],
+        "duplicate": [draw(st.sampled_from(prefix))] if prefix else [],
+    }[kind]
+    suffix = draw(
+        st.lists(st.one_of(st.integers(-2, size + 2), st.booleans(), st.floats()), max_size=5)
+    )
+    return n, prefix + bad + suffix
+
+
+# --- index extraction and construction -----------------------------------------
+
+
+@FAST
+@given(systems())
+def test_zeroed_and_surviving_match_bit_loop(case):
+    n, mask = case
+    o = OrthogonalSystem(n, mask)
+    assert o.zeroed == ref_zeroed(n, mask)
+    assert o.surviving == ref_surviving(n, mask)
+
+
+@FAST
+@given(systems(), st.randoms(use_true_random=False))
+def test_from_indices_round_trip(case, rng):
+    n, mask = case
+    indices = list(ref_zeroed(n, mask))
+    rng.shuffle(indices)
+    o = OrthogonalSystem.from_indices(n, iter(indices))
+    assert o.zeroed_mask == ref_mask(indices) == mask
+    assert o == OrthogonalSystem(n, mask)
+
+
+def test_from_indices_rejects_the_first_out_of_range_index():
+    with pytest.raises(ValueError, match="minterm index 9 out of range for n=3"):
+        OrthogonalSystem.from_indices(3, [1, 9, -1])
+
+
+# --- labels -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_labels_match_format_minterm_exhaustively(n):
+    alphas = range(1 << n)
+    expected = [ref_label(alpha, n) for alpha in alphas]
+    assert minterm_labels(alphas, n) == expected
+    assert [format_minterm(alpha, n) for alpha in alphas] == expected
+
+
+def test_labels_at_the_hard_cap():
+    alphas = random.Random(7).sample(range(1 << 20), 500) + [0, (1 << 20) - 1]
+    assert minterm_labels(alphas, 20) == [ref_label(alpha, 20) for alpha in alphas]
+
+
+@FAST
+@given(systems())
+def test_render_text_matches_per_minterm_labels(case):
+    n, mask = case
+    expected = "\n".join(f"{ref_label(a, n)} = 0" for a in ref_zeroed(n, mask))
+    assert OrthogonalSystem(n, mask).render_text() == expected
+
+
+# --- JSON decoding ------------------------------------------------------------------
+
+
+@FAST
+@given(systems(max_n=8))
+def test_from_json_dict_accepts_valid_lists(case):
+    n, mask = case
+    indices = list(ref_zeroed(n, mask))[::-1]
+    o = OrthogonalSystem.from_json_dict({"n": n, "A": indices})
+    assert o.zeroed_mask == mask
+
+
+@FAST
+@given(json_index_lists())
+def test_from_json_dict_reports_the_first_bad_entry(case):
+    n, indices = case
+    expected = ref_json_error(n, indices)
+    if expected is None:
+        o = OrthogonalSystem.from_json_dict({"n": n, "A": indices})
+        assert o.zeroed_mask == ref_mask(indices)
+        return
+    with pytest.raises(ParseError) as info:
+        OrthogonalSystem.from_json_dict({"n": n, "A": indices})
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([0, 3, True], "minterm index True is not an integer"),
+        ([1, 2, 2.0], "minterm index 2.0 is not an integer"),
+        ([1, 2, -1], "minterm index -1 out of range for n=2"),
+        ([0, 1, 4], "minterm index 4 out of range for n=2"),
+        ([3, 0, 3], "duplicate minterm index 3"),
+        ([3, 3, -1], "duplicate minterm index 3"),
+    ],
+)
+def test_from_json_dict_error_after_valid_entries(indices, message):
+    with pytest.raises(ParseError) as info:
+        OrthogonalSystem.from_json_dict({"n": 2, "A": indices})
+    assert str(info.value) == message
+
+
+def test_from_json_dict_checks_entries_before_the_variable_cap():
+    with pytest.raises(ParseError, match="duplicate"):
+        OrthogonalSystem.from_json_dict({"n": 40, "A": [5, 5]})
+
+
+# --- zero violations ------------------------------------------------------------------
+
+
+@FAST
+@given(systems(max_n=6), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_zero_violation_mask_matches_cell_loop(case, rank, rng):
+    n, mask = case
+    cells = tuple(
+        Element(rng.getrandbits(rank) if rng.random() < 0.5 else 0, rank)
+        for _ in range(1 << n)
+    )
+    point = ZPoint(n, cells)
+    system = OrthogonalSystem(n, mask)
+    expected = ref_mask(a for a in ref_zeroed(n, mask) if not cells[a].is_zero)
+    assert point.zero_violation_mask(system) == expected
+    assert point.solves(system) == (expected == 0 and point.is_orthogonal())
+
+
+def test_zero_violation_mask_rejects_other_variable_counts():
+    point = ZPoint(1, (Element(1, 1), Element(0, 1)))
+    with pytest.raises(SystemMismatchError):
+        point.zero_violation_mask(OrthogonalSystem(2, 0))
+    with pytest.raises(SystemMismatchError):
+        point.solves(OrthogonalSystem(2, 0))
+
+
+# --- 20 variables end to end ---------------------------------------------------------
+
+
+def _invoke(argv, stdin_text):
+    cfg = config_from_args(build_parser().parse_args(argv))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(cfg, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def system_n20():
+    rng = random.Random(2020)
+    indices = [alpha for alpha in range(1 << 20) if rng.random() < 0.5]
+    return json.dumps({"n": 20, "A": indices, "layout": "lsb-first"}), len(indices)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["orthogonalize", "--format", "json"], ["classify", "--rank", "3", "--format", "json"]],
+)
+def test_twenty_variable_json_system_within_budget(system_n20, argv):
+    # About 0.2 s on a 2-vCPU machine; the quadratic index paths took 2-20 s.
+    text, zeroed_count = system_n20
+    start = time.perf_counter()
+    code, out, err = _invoke(argv, text)
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    if argv[0] == "orthogonalize":
+        assert out == text + "\n"
+    else:
+        assert json.loads(out)["coordinate_rank"] == (1 << 20) - zeroed_count
+    assert elapsed < 5.0, f"{argv[0]} on n=20 took {elapsed:.2f}s"

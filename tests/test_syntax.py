@@ -20,6 +20,7 @@ from boolgeo import (
     parse_system,
     parse_term,
 )
+from boolgeo.syntax import MAX_TERM_DEPTH
 from oracles import random_term
 
 X1, X2 = Var("x1"), Var("x2")
@@ -192,6 +193,43 @@ def test_round_trip_seeded_sweep():
     for _ in range(500):
         t = random_term(rng, pool, depth=8)
         assert parse_term(format_term(t)) == t
+
+
+class TestNestingLimit:
+    def test_parentheses_up_to_the_limit(self):
+        depth = MAX_TERM_DEPTH
+        assert parse_term("(" * depth + "x1" + ")" * depth) == X1
+
+    def test_parentheses_past_the_limit(self):
+        depth = MAX_TERM_DEPTH + 1
+        with pytest.raises(ParseError, match="nested more than") as info:
+            parse_term("(" * depth + "x1" + ")" * depth)
+        assert info.value.column == depth
+
+    def test_deep_nesting_is_a_parse_error_not_recursion(self):
+        with pytest.raises(ParseError):
+            parse_system("(" * 1200 + "x1" + ")" * 1200 + " = x1 * x2")
+
+    def test_complements_count_levels(self):
+        t = parse_term("!" * (MAX_TERM_DEPTH - 1) + "x1'")
+        assert parse_term(format_term(t)) == t
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_term("!" * MAX_TERM_DEPTH + "x1'")
+
+    def test_flat_chain_up_to_the_limit_round_trips(self):
+        t = parse_term(" + ".join(["x1"] * (MAX_TERM_DEPTH + 1)))
+        assert parse_term(format_term(t)) == t
+
+    def test_flat_chain_past_the_limit(self):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_term(" * ".join(["x1"] * (MAX_TERM_DEPTH + 2)))
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_system(" + ".join(f"x{i % 4 + 1}" for i in range(3000)) + " = x1")
+
+    def test_balanced_groups_keep_long_joins_shallow(self):
+        groups = [" + ".join(["x1", "x2"] * 50)] * 30
+        s = parse_system(" + ".join(f"({g})" for g in groups) + " = x1")
+        assert s.variables == ("x1", "x2")
 
 
 class TestSystemType:
