@@ -17,12 +17,13 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 from . import geometry, solve, stats
-from .algebra import check_rank
+from .algebra import Element, check_rank
 from .errors import (
     BoolgeoError,
     InconsistentSystemError,
@@ -32,10 +33,13 @@ from .errors import (
     RankMismatchError,
     SystemMismatchError,
 )
-from .ortho import (
+# perfbench/tracing.py wraps parse_system, orthogonalize and x_from_z in
+# this module's namespace, so x_from_z stays imported though solve output
+# no longer calls it.
+from .ortho import (  # noqa: F401
     MAX_VARS_ENV,
     OrthogonalSystem,
-    format_minterm,
+    check_var_limit,
     minterm_labels,
     orthogonalize,
     x_from_z,
@@ -87,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-vars",
             type=int,
             default=None,
-            help=f"variable limit for orthogonalization (default 16, ${MAX_VARS_ENV})",
+            help=f"variable limit (default 16 for .beq input, none below the hard cap "
+            f"for JSON input; ${MAX_VARS_ENV})",
         )
 
     def add_format(p, default="text", choices=("text", "json", "csv")):
@@ -203,9 +208,15 @@ def _parse_ortho_json(text: str) -> OrthogonalSystem:
 
 
 def _load_ortho(text: str, max_vars: int | None):
-    """Returns (orthogonal system, source system or None)."""
+    """Returns (orthogonal system, source system or None).
+
+    JSON input is held to an explicit limit (``--max-vars`` or
+    $BOOLGEO_MAX_VARS) and otherwise only to the hard cap."""
     if text.lstrip().startswith("{"):
-        return _parse_ortho_json(text), None
+        o = _parse_ortho_json(text)
+        if max_vars is not None or MAX_VARS_ENV in os.environ:
+            check_var_limit(o.n, max_vars)
+        return o, None
     system = parse_system(text)
     return orthogonalize(system, max_vars=max_vars), system
 
@@ -248,47 +259,46 @@ def _cmd_solve(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
             print(count, file=out)
         return
 
-    names = system.variables if system is not None else tuple(
-        f"x{i + 1}" for i in range(o.n)
-    )
+    rank = cfg.rank
     if cfg.z_space:
-        points = solve.solutions_z(o, cfg.rank)
-        headers = [format_minterm(a, o.n) for a in range(o.num_minterms)]
-
-        def row(p):
-            return [str(cell) for cell in p.cells]
-
-        def as_json(p):
-            return {"cells": [list(cell.atoms()) for cell in p.cells]}
-
+        headers = minterm_labels(range(o.num_minterms), o.n)
+    elif system is not None:
+        headers = list(system.variables)
     else:
-        points = (x_from_z(z, names) for z in solve.solutions_z(o, cfg.rank))
-        headers = list(names)
-
-        def row(p):
-            return [str(v) for v in p.values]
-
-        def as_json(p):
-            return {name: list(v.atoms()) for name, v in p.items()}
-
+        headers = [f"x{i + 1}" for i in range(o.n)]
+    points = solve.solution_masks(o, rank, z_space=cfg.z_space)
     if cfg.limit is not None:
         points = itertools.islice(points, cfg.limit)
 
+    # Rows are written as they are generated, each cell looked up by its
+    # mask; the bytes are those of printing each ZPoint or XPoint, or of
+    # json.dumps of the whole payload.
     if cfg.fmt == "json":
-        payload = {
-            "layout": "lsb-first",
-            "rank": cfg.rank,
-            "solutions": [as_json(p) for p in points],
-        }
-        print(json.dumps(payload), file=out)
-    elif cfg.fmt == "csv":
+        cells = solve.MaskCache(lambda mask: json.dumps(list(Element(mask, rank).atoms())))
+        if cfg.z_space:
+            keys, opening, closing = None, '{"cells": [', "]}"
+        else:
+            keys, opening, closing = [json.dumps(h) + ": " for h in headers], "{", "}"
+        out.write(f'{{"layout": "lsb-first", "rank": {rank}, "solutions": [')
+        separator = ""
+        for masks in points:
+            values = map(cells.__getitem__, masks)
+            if keys is not None:
+                values = map(str.__add__, keys, values)
+            out.write(separator + opening + ", ".join(values) + closing)
+            separator = ", "
+        out.write("]}\n")
+        return
+    cells = solve.MaskCache(lambda mask: str(Element(mask, rank)))
+    if cfg.fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(headers)
-        for p in points:
-            writer.writerow(row(p))
+        for masks in points:
+            writer.writerow(map(cells.__getitem__, masks))
     else:
-        for p in points:
-            print(p, file=out)
+        prefixes = [h + "=" for h in headers]
+        for masks in points:
+            out.write(" ".join(map(str.__add__, prefixes, map(cells.__getitem__, masks))) + "\n")
 
 
 def _cmd_decompose(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:

@@ -61,6 +61,17 @@ def max_vars_limit() -> int:
     return value
 
 
+def check_var_limit(n: int, max_vars: int | None = None) -> None:
+    """Raise LimitExceededError when ``n`` variables exceed ``max_vars``,
+    or :func:`max_vars_limit` when ``max_vars`` is None."""
+    limit = max_vars if max_vars is not None else max_vars_limit()
+    if n > limit:
+        raise LimitExceededError(
+            f"system has {n} variables, limit is {limit} "
+            f"(override with max_vars or ${MAX_VARS_ENV})"
+        )
+
+
 def index_to_bits(alpha: MintermIndex, n: int) -> tuple[int, ...]:
     """The exponent tuple (a_1, ..., a_n) encoded by ``alpha``."""
     if not 0 <= alpha < (1 << n):
@@ -288,9 +299,8 @@ class ZPoint:
         return int(nonzero, 2) & system.zeroed_mask
 
     def __str__(self) -> str:
-        return " ".join(
-            f"{format_minterm(a, self.n)}={self.cells[a]}" for a in range(self.num_minterms)
-        )
+        labels = minterm_labels(range(self.num_minterms), self.n)
+        return " ".join(f"{label}={cell}" for label, cell in zip(labels, self.cells))
 
 
 @dataclass(frozen=True)
@@ -407,13 +417,8 @@ def orthogonalize(system: System, *, max_vars: int | None = None) -> OrthogonalS
     >>> orthogonalize(parse_system("x1 * x2 = x2")).zeroed
     (2,)
     """
-    limit = max_vars if max_vars is not None else max_vars_limit()
     n = len(system.variables)
-    if n > limit:
-        raise LimitExceededError(
-            f"system has {n} variables, limit is {limit} "
-            f"(override with max_vars or ${MAX_VARS_ENV})"
-        )
+    check_var_limit(n, max_vars)
     disagree = 0
     for eq in system.equations:
         disagree |= truth_table(eq.lhs, system.variables) ^ truth_table(

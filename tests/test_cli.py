@@ -319,6 +319,25 @@ class TestExitCodes:
         code, _, _ = invoke(["orthogonalize", "-e", "x1 = x2"])
         assert code == 2
 
+    def test_explicit_limit_applies_to_json_input(self, monkeypatch):
+        text = json.dumps({"n": 20, "A": [], "layout": "lsb-first"})
+        code, out, err = invoke(["classify", "--rank", "2", "--max-vars", "4"], text)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: system has 20 variables, limit is 4 "
+            "(override with max_vars or $BOOLGEO_MAX_VARS)\n"
+        )
+        monkeypatch.setenv("BOOLGEO_MAX_VARS", "19")
+        code, out, _ = invoke(["solve", "--rank", "2", "--count"], text)
+        assert (code, out) == (2, "")
+        code, out, _ = invoke(["solve", "--rank", "2", "--count", "--max-vars", "20"], text)
+        assert (code, out) == (0, f"{(1 << 20) ** 2}\n")
+
+    def test_json_input_without_a_limit_keeps_the_hard_cap(self):
+        text = json.dumps({"n": 20, "A": [], "layout": "lsb-first"})
+        code, out, _ = invoke(["solve", "--rank", "2", "--count"], text)
+        assert (code, out) == (0, f"{(1 << 20) ** 2}\n")
+
     def test_inconsistent_is_3(self):
         argv = ["classify", "--rank", "2", "-e", "x1 = 0; x1 = 1"]
         code, _, err = invoke(argv)
