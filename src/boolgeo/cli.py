@@ -17,9 +17,14 @@ import argparse
 import csv
 import itertools
 import json
+import operator
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
+from functools import partial
 from typing import IO, Sequence
 
 from . import geometry, solve, stats
@@ -40,11 +45,18 @@ from .ortho import (  # noqa: F401
     MAX_VARS_ENV,
     OrthogonalSystem,
     check_var_limit,
+    mask_flags,
+    mask_indices,
     minterm_labels,
     orthogonalize,
     x_from_z,
 )
 from .syntax import parse_system
+
+
+# decompose refuses (exit 2) to write more components than this; the count,
+# C(s, r) for s surviving minterms, is known before any component is built.
+MAX_COMPONENTS = 10**6
 
 
 class _UsageError(BoolgeoError):
@@ -305,27 +317,46 @@ def _cmd_decompose(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
     check_rank(cfg.rank)
     o, _ = _load_ortho(_read_input(cfg, stdin), cfg.max_vars)
     parts = geometry.decompose(o, cfg.rank)
-    if cfg.fmt == "json":
-        payload = {
-            "layout": "lsb-first",
-            "n": o.n,
-            "rank": cfg.rank,
-            "components": [{"n": c.n, "A": list(c.zeroed)} for c in parts],
-        }
-        print(json.dumps(payload), file=out)
-    elif cfg.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["component", "zeroed"])
-        for i, c in enumerate(parts, 1):
-            writer.writerow([i, " ".join(map(str, c.zeroed))])
+    if len(parts) > MAX_COMPONENTS:
+        raise LimitExceededError(
+            f"decomposition into {len(parts)} components exceeds the limit "
+            f"{MAX_COMPONENTS}"
+        )
+    # Each component is written as it is generated, from the forced-zero
+    # mask's index texts: numbers for json/csv, minterm labels for text.
+    # When the output lists at least 2**n indices in all, each text is made
+    # once into a per-run table of every minterm and picked from it by the
+    # mask's bits; otherwise it is made as it is printed.
+    size = o.num_minterms
+    if cfg.fmt == "text":
+        separator, make = " = 0, ", partial(minterm_labels, n=o.n)
     else:
-        for i, c in enumerate(parts, 1):
-            labels = minterm_labels(c.zeroed, c.n)
-            if labels:
-                body = " = 0, ".join(labels) + " = 0"
-            else:
-                body = "(no forced-zero minterms)"
-            print(f"component {i}: {body}", file=out)
+        separator, make = (", " if cfg.fmt == "json" else " "), partial(map, str)
+    if len(parts) * (size - min(cfg.rank, size - o.num_zeroed)) >= size:
+        table = list(make(range(size)))
+        texts = (
+            separator.join(itertools.compress(table, mask_flags(m, size))) for m in parts.masks()
+        )
+    else:
+        texts = (separator.join(make(mask_indices(m, size))) for m in parts.masks())
+    # The bytes are those of json.dumps of the whole payload, of csv.writer
+    # rows and of one print per component.
+    if cfg.fmt == "json":
+        opening = f'{{"n": {o.n}, "A": ['
+        out.write(f'{{"layout": "lsb-first", "n": {o.n}, "rank": {cfg.rank}, "components": [')
+        between = ""
+        for text in texts:
+            out.write(between + opening + text + "]}")
+            between = ", "
+        out.write("]}\n")
+    elif cfg.fmt == "csv":
+        out.write("component,zeroed\n")
+        for i, text in enumerate(texts, 1):
+            out.write(f"{i},{text}\n")
+    else:
+        for i, text in enumerate(texts, 1):
+            body = text + " = 0" if text else "(no forced-zero minterms)"
+            out.write(f"component {i}: {body}\n")
 
 
 def _cmd_classify(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
@@ -395,26 +426,33 @@ def _require_m_pow(m: int, flag: str) -> int:
     return m.bit_length() - 1
 
 
+def _exact_text(value: Fraction) -> str:
+    """``str(value)`` without the interpreter's cap on int-to-str digits
+    (4300 by default), which ``C(2m, m)/4**m`` passes from m of about
+    7140; Decimal converts an int exactly at any size."""
+    if value.denominator == 1:
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
 def _empirical(kind: str, m: int, r: int | None, samples: int, seed: int) -> float:
+    # Every sampled figure depends on a system only through its forced-zero
+    # count, so the sampled masks are read as popcounts.
     m_pow = _require_m_pow(m, "--samples")
+    draws = 2 * samples if kind == "iso-prob" else samples
+    zeroed = map(int.bit_count, stats.sample_masks(m_pow, seed, draws))
     if kind == "iso-prob":
-        stream = stats.sample_systems(m_pow, seed, 2 * samples)
-        hits = 0
-        for first in stream:
-            second = next(stream)
-            if geometry.are_isomorphic(first, second):
-                hits += 1
-        return hits / samples
+        # Consecutive draws form one pair.
+        return sum(map(operator.eq, zeroed, zeroed)) / samples
+    tally = Counter(zeroed)
     if kind == "avg-irr":
+        check_rank(r)
         total = sum(
-            geometry.irr_count(o, r) for o in stats.sample_systems(m_pow, seed, samples)
+            systems * geometry.component_count(m - z, r) for z, systems in tally.items()
         )
         return total / samples
-    total = sum(
-        geometry.irreducibility_rank(o)
-        for o in stats.sample_systems(m_pow, seed, samples)
-    )
-    return total / samples
+    # The irreducibility rank is the surviving count, 0 when none survive.
+    return sum(systems * (m - z) for z, systems in tally.items()) / samples
 
 
 def _cmd_stats(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
@@ -459,7 +497,7 @@ def _cmd_stats(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
     if cfg.fmt == "json":
         payload = {"results": []}
         for kind, m, r, exact, emp in results:
-            entry = {"kind": kind, "m": m, "exact": str(exact), "approx": float(exact)}
+            entry = {"kind": kind, "m": m, "exact": _exact_text(exact), "approx": float(exact)}
             if r is not None:
                 entry["r"] = r
             if emp is not None:
@@ -480,7 +518,7 @@ def _cmd_stats(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
                     kind,
                     m,
                     "" if r is None else r,
-                    str(exact),
+                    _exact_text(exact),
                     float(exact),
                     "" if emp is None else cfg.samples,
                     "" if emp is None else cfg.seed,
@@ -491,10 +529,10 @@ def _cmd_stats(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
         bare = len(results) == 1 and all(emp is None for *_, emp in results)
         for kind, m, r, exact, emp in results:
             if bare:
-                print(f"{exact} ({float(exact)})", file=out)
+                print(f"{_exact_text(exact)} ({float(exact)})", file=out)
             else:
                 label = f"{kind} m={m}" + ("" if r is None else f" r={r}")
-                print(f"{label}: {exact} ({float(exact)})", file=out)
+                print(f"{label}: {_exact_text(exact)} ({float(exact)})", file=out)
             if emp is not None:
                 print(
                     f"  empirical: {emp} (samples={cfg.samples}, "

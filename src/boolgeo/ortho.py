@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import Element
 from .errors import (
@@ -135,10 +135,19 @@ def _mask_from_indices(n: int, indices: Iterable[MintermIndex]) -> int:
     return int(digits[::-1], 2)
 
 
-def _flags(mask: int, size: int, table: bytes) -> bytes:
-    # One 0/1 byte per minterm index, index 0 first.  The sentinel bit at
-    # ``size`` makes bin() give "0b1" and then exactly ``size`` digits.
+def mask_flags(mask: int, size: int, table: bytes = _SET_FLAGS) -> bytes:
+    """One byte per index below ``size``, index 0 first: 1 where ``mask``
+    has the bit set, else 0 (the reverse with ``_CLEAR_FLAGS``), so that
+    ``compress(seq, mask_flags(mask, size))`` picks the entries of ``seq``
+    at the set bits."""
+    # The sentinel bit at ``size`` makes bin() give "0b1" and then exactly
+    # ``size`` digits.
     return bin(mask | (1 << size))[:2:-1].encode().translate(table)
+
+
+def mask_indices(mask: int, size: int) -> Iterator[MintermIndex]:
+    """The set bits of ``mask`` below ``size``, ascending."""
+    return compress(range(size), mask_flags(mask, size))
 
 
 @dataclass(frozen=True)
@@ -183,14 +192,13 @@ class OrthogonalSystem:
     @property
     def zeroed(self) -> tuple[MintermIndex, ...]:
         """Forced-zero minterm indices, ascending."""
-        size = self.num_minterms
-        return tuple(compress(range(size), _flags(self.zeroed_mask, size, _SET_FLAGS)))
+        return tuple(mask_indices(self.zeroed_mask, self.num_minterms))
 
     @property
     def surviving(self) -> tuple[MintermIndex, ...]:
         """Minterm indices not forced to zero, ascending."""
         size = self.num_minterms
-        return tuple(compress(range(size), _flags(self.zeroed_mask, size, _CLEAR_FLAGS)))
+        return tuple(compress(range(size), mask_flags(self.zeroed_mask, size, _CLEAR_FLAGS)))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "A": list(self.zeroed), "layout": "lsb-first"}

@@ -9,13 +9,15 @@ in the two asymptotic helpers.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterator
 
 from .errors import LimitExceededError
-from .geometry import irr_count
+from .geometry import component_count
 from .ortho import OrthogonalSystem
 
 # Exact rationals are plain stdlib fractions: reduced, positive denominator.
@@ -23,6 +25,8 @@ ExactRational = Fraction
 
 # Exhaustive averaging enumerates 2**(2**m_pow) forced-zero sets.
 MAX_EXHAUSTIVE_VARS = 4
+# Sampling draws 2**m_pow random bits per system.
+MAX_SAMPLING_VARS = 16
 
 RNG_ALGORITHM = "mt19937"
 
@@ -30,6 +34,25 @@ RNG_ALGORITHM = "mt19937"
 def _check_m(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+
+
+def _check_m_pow(m_pow: int, limit: int, what: str) -> None:
+    if not isinstance(m_pow, int) or isinstance(m_pow, bool) or m_pow < 1:
+        raise ValueError(f"m_pow must be a positive integer, got {m_pow!r}")
+    if m_pow > limit:
+        raise LimitExceededError(
+            f"{what} over 2**{1 << m_pow} systems is out of reach (m_pow limit is {limit})"
+        )
+
+
+def _binomials(m: int) -> Iterator[int]:
+    """C(m, 0), ..., C(m, m), each from the one before in one big-int
+    multiply and one exact division; none is kept."""
+    c = 1
+    yield c
+    for a in range(m):
+        c = c * (m - a) // (a + 1)
+        yield c
 
 
 def avg_irr_closed(m: int, r: int) -> Fraction:
@@ -53,18 +76,15 @@ def avg_irr_exhaustive(m_pow: int, r: int) -> Fraction:
     of the per-system component count.  Must equal
     ``avg_irr_closed(2**m_pow, r)``.
     """
-    if not isinstance(m_pow, int) or isinstance(m_pow, bool) or m_pow < 1:
-        raise ValueError(f"m_pow must be a positive integer, got {m_pow!r}")
-    if m_pow > MAX_EXHAUSTIVE_VARS:
-        raise LimitExceededError(
-            f"exhaustive averaging over 2**{1 << m_pow} systems is out of reach "
-            f"(m_pow limit is {MAX_EXHAUSTIVE_VARS})"
-        )
+    _check_m_pow(m_pow, MAX_EXHAUSTIVE_VARS, "exhaustive averaging")
     m = 1 << m_pow
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
+    # A system's component count depends only on its forced-zero count,
+    # so every mask is visited once and tallied by popcount.
+    tally = Counter(map(int.bit_count, range(1 << m)))
     total = sum(
-        irr_count(OrthogonalSystem(m_pow, mask), r) for mask in range(1 << m)
+        systems * component_count(m - zeroed, r) for zeroed, systems in tally.items()
     )
     return Fraction(total, 1 << m)
 
@@ -82,12 +102,13 @@ def avg_ir_rank(m: int) -> Fraction:
     minterm variables; exactly m/2.
 
     Computed both in closed form and as the weighted sum
-    2**(-m) * sum_a (m - a) * C(m, a); the two routes must agree.
+    2**(-m) * sum_a (m - a) * C(m, a); the two routes must agree.  The
+    binomials are built one from the next in O(m) big-int steps.
     """
     _check_m(m)
     closed = Fraction(m, 2)
     summed = Fraction(
-        sum((m - a) * comb(m, a) for a in range(m + 1)), 1 << m
+        sum(map(operator.mul, range(m, -1, -1), _binomials(m))), 1 << m
     )
     if closed != summed:
         raise ArithmeticError(f"closed form {closed} != summation {summed}")
@@ -100,11 +121,16 @@ def iso_pair_probability(m: int) -> Fraction:
 
         C(2m, m) / 4**m
 
-    Verified internally against sum_i C(m, i)**2 / 4**m.
+    Verified internally against sum_i C(m, i)**2 / 4**m, with the
+    binomials built one from the next in O(m) big-int steps.
     """
     _check_m(m)
     pairs = comb(2 * m, m)
-    by_size = sum(comb(m, i) ** 2 for i in range(m + 1))
+    # C(m, i) = C(m, m - i): each square below the middle counts twice.
+    by_size = 0
+    for i, c in zip(range(m // 2 + 1), _binomials(m)):
+        square = c * c
+        by_size += square if 2 * i == m else square << 1
     if pairs != by_size:
         raise ArithmeticError(f"C(2m,m)={pairs} != sum of squares {by_size}")
     return Fraction(pairs, 4**m)
@@ -125,13 +151,17 @@ def sample_ortho(m_pow: int, seed: int) -> OrthogonalSystem:
 
 def sample_systems(m_pow: int, seed: int, count: int) -> Iterator[OrthogonalSystem]:
     """A reproducible stream of ``count`` independent uniform samples."""
-    if not isinstance(m_pow, int) or isinstance(m_pow, bool) or m_pow < 1:
-        raise ValueError(f"m_pow must be a positive integer, got {m_pow!r}")
-    if m_pow > 16:
-        raise LimitExceededError(f"m_pow {m_pow} exceeds the sampling limit 16")
+    for mask in sample_masks(m_pow, seed, count):
+        yield OrthogonalSystem(m_pow, mask)
+
+
+def sample_masks(m_pow: int, seed: int, count: int) -> Iterator[int]:
+    """The forced-zero masks of :func:`sample_systems`, from the same
+    random draws, without building the systems."""
+    _check_m_pow(m_pow, MAX_SAMPLING_VARS, "sampling")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     m = 1 << m_pow
     for _ in range(count):
-        yield OrthogonalSystem(m_pow, rng.getrandbits(m))
+        yield rng.getrandbits(m)

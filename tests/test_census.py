@@ -1,0 +1,322 @@
+"""Census paths against the per-system routes they replace.
+
+The references below are the code the statistics and decompositions ran
+before they worked on masks and popcounts: identities summed with one
+``comb`` call per term, exhaustive averages over one OrthogonalSystem per
+mask, Monte Carlo figures read off ``sample_systems``, and decompositions
+built eagerly as ``itertools.combinations`` of OrthogonalSystems and
+rendered through ``json.dumps``, ``csv.writer`` and ``print``.  The new
+paths must agree with them value for value and byte for byte.
+"""
+
+import csv
+import io
+import itertools
+import json
+import time
+from decimal import Decimal
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boolgeo import (
+    OrthogonalSystem,
+    are_isomorphic,
+    avg_ir_rank,
+    avg_irr_exhaustive,
+    decompose,
+    irr_count,
+    irreducibility_rank,
+    is_consistent,
+    iso_pair_probability,
+    sample_systems,
+)
+from boolgeo import cli
+from boolgeo.cli import MAX_COMPONENTS, build_parser, config_from_args, run
+from boolgeo.ortho import format_minterm
+
+FAST = settings(max_examples=60, deadline=None)
+
+
+def invoke(argv, stdin_text=""):
+    cfg = config_from_args(build_parser().parse_args(argv))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(cfg, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+# --- references -------------------------------------------------------------
+
+
+def ref_avg_ir_rank(m):
+    return Fraction(sum((m - a) * comb(m, a) for a in range(m + 1)), 1 << m)
+
+
+def ref_iso_pair_probability(m):
+    return Fraction(sum(comb(m, i) ** 2 for i in range(m + 1)), 4**m)
+
+
+def ref_avg_irr_exhaustive(m_pow, r):
+    m = 1 << m_pow
+    total = sum(irr_count(OrthogonalSystem(m_pow, mask), r) for mask in range(1 << m))
+    return Fraction(total, 1 << m)
+
+
+def ref_empirical(kind, m, r, samples, seed):
+    m_pow = m.bit_length() - 1
+    if kind == "iso-prob":
+        stream = sample_systems(m_pow, seed, 2 * samples)
+        hits = 0
+        for first in stream:
+            second = next(stream)
+            if are_isomorphic(first, second):
+                hits += 1
+        return hits / samples
+    if kind == "avg-irr":
+        return sum(irr_count(o, r) for o in sample_systems(m_pow, seed, samples)) / samples
+    total = sum(irreducibility_rank(o) for o in sample_systems(m_pow, seed, samples))
+    return total / samples
+
+
+def ref_components(o, rank):
+    free = o.num_minterms - o.num_zeroed
+    if free <= rank:
+        return [o]
+    components = []
+    for extra in itertools.combinations(o.surviving, free - rank):
+        mask = o.zeroed_mask
+        for alpha in extra:
+            mask |= 1 << alpha
+        components.append(OrthogonalSystem(o.n, mask))
+    return components
+
+
+def ref_decompose_output(o, rank, fmt):
+    parts = ref_components(o, rank)
+    out = io.StringIO()
+    if fmt == "json":
+        payload = {
+            "layout": "lsb-first",
+            "n": o.n,
+            "rank": rank,
+            "components": [{"n": c.n, "A": list(c.zeroed)} for c in parts],
+        }
+        print(json.dumps(payload), file=out)
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["component", "zeroed"])
+        for i, c in enumerate(parts, 1):
+            writer.writerow([i, " ".join(map(str, c.zeroed))])
+    else:
+        for i, c in enumerate(parts, 1):
+            labels = [format_minterm(alpha, c.n) for alpha in c.zeroed]
+            if labels:
+                body = " = 0, ".join(labels) + " = 0"
+            else:
+                body = "(no forced-zero minterms)"
+            print(f"component {i}: {body}", file=out)
+    return out.getvalue()
+
+
+# --- strategies -------------------------------------------------------------
+
+
+@st.composite
+def consistent_systems(draw, max_n=5, max_components=3000):
+    """(consistent system, rank) with at most ``max_components`` parts."""
+    n = draw(st.integers(1, max_n))
+    size = 1 << n
+    full = (1 << size) - 1
+    mask = draw(st.one_of(st.just(0), st.integers(0, full)))
+    if mask == full:
+        mask ^= 1 << draw(st.integers(0, size - 1))
+    o = OrthogonalSystem(n, mask)
+    free = size - o.num_zeroed
+    rank = draw(st.integers(1, 6))
+    while free > rank and comb(free, rank) > max_components:
+        rank += 1
+    return o, rank
+
+
+# --- identities ---------------------------------------------------------------
+
+
+@FAST
+@given(m=st.integers(1, 400))
+def test_avg_ir_rank_matches_the_comb_sum(m):
+    assert avg_ir_rank(m) == ref_avg_ir_rank(m) == Fraction(m, 2)
+
+
+@FAST
+@given(m=st.integers(1, 400))
+def test_iso_pair_probability_matches_the_comb_sum(m):
+    assert iso_pair_probability(m) == ref_iso_pair_probability(m)
+
+
+@pytest.mark.parametrize(
+    "m_pow,r", [(m_pow, r) for m_pow in (1, 2, 3) for r in range(1, (1 << m_pow) + 1)]
+)
+def test_avg_irr_exhaustive_matches_per_system_enumeration(m_pow, r):
+    # Every (m_pow, r) pair of m_pow 1-3: 14 cases, each over all masks.
+    assert avg_irr_exhaustive(m_pow, r) == ref_avg_irr_exhaustive(m_pow, r)
+
+
+# --- Monte Carlo ---------------------------------------------------------------
+
+
+@FAST
+@given(
+    kind=st.sampled_from(["avg-irr", "avg-ir", "iso-prob"]),
+    m_pow=st.integers(1, 6),
+    r=st.integers(1, 4),
+    samples=st.integers(1, 300),
+    seed=st.integers(0, 2**31),
+    fmt=st.sampled_from(["text", "csv", "json"]),
+)
+def test_stats_samples_output_matches_the_sample_systems_route(kind, m_pow, r, samples, seed, fmt):
+    m = 1 << m_pow
+    r = min(r, m)
+    argv = ["stats", "--format", fmt, "--samples", str(samples), "--seed", str(seed)]
+    argv += ["--avg-irr", str(m), str(r)] if kind == "avg-irr" else [f"--{kind}", str(m)]
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_empirical", ref_empirical)
+        assert invoke(argv) == (0, out, "")
+
+
+# --- decompositions ----------------------------------------------------------------
+
+
+@FAST
+@given(case=consistent_systems(), fmt=st.sampled_from(["text", "csv", "json"]))
+def test_decompose_output_matches_the_reference_renderer(case, fmt):
+    o, rank = case
+    argv = ["decompose", "--rank", str(rank), "--format", fmt]
+    code, out, err = invoke(argv, json.dumps(o.to_json_dict()))
+    assert (code, err) == (0, "")
+    assert out == ref_decompose_output(o, rank, fmt)
+
+
+@FAST
+@given(case=consistent_systems(), data=st.data())
+def test_decomposition_indexing_matches_iteration(case, data):
+    o, rank = case
+    parts = decompose(o, rank)
+    listed = list(parts)
+    assert listed == ref_components(o, rank)
+    assert len(parts) == len(listed) == irr_count(o, rank)
+    assert list(parts.masks()) == [c.zeroed_mask for c in listed]
+    k = data.draw(st.integers(-len(listed), len(listed) - 1))
+    assert parts[k] == listed[k]
+    with pytest.raises(IndexError):
+        parts[len(listed)]
+    with pytest.raises(IndexError):
+        parts[-len(listed) - 1]
+
+
+def test_decomposition_slices_and_equality():
+    o = OrthogonalSystem.from_indices(3, [0, 5])
+    parts = decompose(o, 2)
+    listed = list(parts)
+    assert parts[1:5] == tuple(listed[1:5])
+    assert parts[::-7] == tuple(listed[::-7])
+    assert parts.components == tuple(listed)
+    assert parts == decompose(o, 2) and hash(parts) == hash(decompose(o, 2))
+    assert parts != decompose(o, 3)
+    assert all(is_consistent(c) for c in parts)
+
+
+def test_wide_components_are_built_from_their_indices():
+    # Past 64 minterms masks are not summed from a bit table; 7 variables
+    # with 4 survivors at rank 2 give C(4, 2) = 6 components.
+    survivors = (3, 40, 77, 127)
+    o = OrthogonalSystem(7, ((1 << 128) - 1) ^ sum(1 << a for a in survivors))
+    parts = decompose(o, 2)
+    assert list(parts) == ref_components(o, 2)
+    assert [parts[k] for k in range(-6, 6)] == ref_components(o, 2) * 2
+
+
+# --- budgets -------------------------------------------------------------------------
+
+
+TAUTOLOGY_16 = json.dumps({"n": 16, "A": [], "layout": "lsb-first"})
+TAUTOLOGY_5 = json.dumps({"n": 5, "A": [], "layout": "lsb-first"})
+
+
+@pytest.mark.parametrize("flag", ["--avg-ir", "--iso-prob"])
+def test_stats_identities_at_m_20000_within_budget(flag):
+    # Each identity is re-proved over one binomial row of C(20000, .).
+    # About 0.1 s and 1.3 s on a 2-vCPU machine; one comb call per term
+    # took 44 s and 46 s.
+    start = time.perf_counter()
+    code, out, err = invoke(["stats", flag, "20000"])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    if flag == "--avg-ir":
+        assert out == "10000 (10000.0)\n"
+    else:
+        # Both parts pass the default int-to-str digit cap, so the
+        # expected text is written through Decimal as well.
+        exact = Fraction(comb(40000, 20000), 4**20000)
+        assert out == f"{Decimal(exact.numerator)}/{Decimal(exact.denominator)} ({float(exact)})\n"
+    assert elapsed < 5.0, f"{flag} 20000 took {elapsed:.2f}s"
+
+
+def test_sixteen_variable_tautology_decomposes_lazily():
+    o = OrthogonalSystem(16, 0)
+    start = time.perf_counter()
+    parts = decompose(o, 3)
+    count = len(parts)
+    first = parts[0]
+    last = parts[-1]
+    elapsed = time.perf_counter() - start
+    assert count == comb(65536, 3)
+    assert first.surviving == (65533, 65534, 65535)
+    assert last.surviving == (0, 1, 2)
+    assert next(iter(parts)) == first
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize(
+    "argv,stdin_text,count",
+    [
+        (["decompose", "--rank", "3"], TAUTOLOGY_16, comb(65536, 3)),
+        (["decompose", "--rank", "8", "--format", "json"], TAUTOLOGY_5, comb(32, 8)),
+    ],
+)
+def test_decompose_past_the_component_cap_exits_2(argv, stdin_text, count):
+    assert count > MAX_COMPONENTS
+    start = time.perf_counter()
+    code, out, err = invoke(argv, stdin_text)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(count) in err
+    assert elapsed < 1.0, f"{argv} took {elapsed:.2f}s"
+
+
+def test_decompose_below_the_component_cap_is_written():
+    # C(20, 4) = 4845 components fit; the cap applies only past 10**6.
+    o = OrthogonalSystem.from_indices(5, range(12))
+    argv = ["decompose", "--rank", "4", "--format", "csv"]
+    code, out, _ = invoke(argv, json.dumps(o.to_json_dict()))
+    assert code == 0
+    assert out.count("\n") == 1 + comb(20, 4)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stats_exact_values_past_the_int_digit_cap(fmt):
+    # C(15000, 7500) / 4**7500 reduces to two integers of about 4500
+    # digits each, past the default cap of 4300 on int-to-str conversion.
+    exact = Fraction(comb(15000, 7500), 4**7500)
+    text = f"{Decimal(exact.numerator)}/{Decimal(exact.denominator)}"
+    assert len(text) > 2 * 4300
+    code, out, err = invoke(["stats", "--iso-prob", "7500", "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["results"][0]["exact"] == text
+    else:
+        assert out.splitlines()[1] == f"iso-prob,7500,,{text},{float(exact)},,,"
