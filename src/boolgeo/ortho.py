@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     SystemMismatchError,
 )
-from .syntax import Complement, Const, Join, Meet, System, Term, Var, parse_system
+from .syntax import System, Term, compile_term, parse_system, run
 
 MintermIndex = int
 
@@ -167,6 +167,11 @@ class OrthogonalSystem:
             _check_var_count(self.n)
         if self.zeroed_mask < 0 or self.zeroed_mask.bit_length() > (1 << self.n):
             raise ValueError("forced-zero mask out of range for the minterm space")
+
+    def __repr__(self) -> str:
+        # Hex, because decimal text of a mask past about 14 variables hits
+        # the interpreter's int-to-str digit cap.
+        return f"OrthogonalSystem(n={self.n}, zeroed_mask={self.zeroed_mask:#x})"
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[MintermIndex]) -> "OrthogonalSystem":
@@ -375,6 +380,13 @@ def _variable_column(i: int, n: int) -> int:
     return mask
 
 
+def _columns(variables: Sequence[str]) -> dict[str, int]:
+    columns = {name: _variable_column(i, len(variables)) for i, name in enumerate(variables)}
+    if len(columns) != len(variables):
+        raise ValueError("duplicate variable names")
+    return columns
+
+
 def truth_table(t: Term, variables: Sequence[str]) -> int:
     """Evaluate ``t`` over the 2-element algebra at every exponent tuple.
 
@@ -382,31 +394,12 @@ def truth_table(t: Term, variables: Sequence[str]) -> int:
     variable x_i takes bit i-1 of ``alpha``.  Every variable of ``t`` must
     appear in ``variables``.
     """
-    n = len(variables)
-    index = {name: i for i, name in enumerate(variables)}
-    if len(index) != n:
-        raise ValueError("duplicate variable names")
-    full = (1 << (1 << n)) - 1
-
-    def walk(node: Term) -> int:
-        if isinstance(node, Var):
-            i = index.get(node.name)
-            if i is None:
-                raise MissingVariableError(
-                    f"variable {node.name!r} is not in the variable list"
-                )
-            return _variable_column(i, n)
-        if isinstance(node, Const):
-            return full if node.value else 0
-        if isinstance(node, Join):
-            return walk(node.left) | walk(node.right)
-        if isinstance(node, Meet):
-            return walk(node.left) & walk(node.right)
-        if isinstance(node, Complement):
-            return full ^ walk(node.term)
-        raise TypeError(f"not a term: {node!r}")
-
-    return walk(t)
+    columns = _columns(variables)
+    try:
+        return run(compile_term(t), columns, (1 << (1 << len(variables))) - 1)
+    except KeyError as exc:
+        name = exc.args[0]
+        raise MissingVariableError(f"variable {name!r} is not in the variable list") from None
 
 
 def table_bit(table: int, alpha: MintermIndex) -> int:
@@ -427,11 +420,11 @@ def orthogonalize(system: System, *, max_vars: int | None = None) -> OrthogonalS
     """
     n = len(system.variables)
     check_var_limit(n, max_vars)
+    columns = _columns(system.variables)
+    full = (1 << (1 << n)) - 1
     disagree = 0
-    for eq in system.equations:
-        disagree |= truth_table(eq.lhs, system.variables) ^ truth_table(
-            eq.rhs, system.variables
-        )
+    for lhs, rhs in system.programs:
+        disagree |= run(lhs, columns, full) ^ run(rhs, columns, full)
     return OrthogonalSystem(n, disagree)
 
 

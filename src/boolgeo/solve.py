@@ -14,9 +14,9 @@ from operator import or_
 from typing import Callable, Iterator, Mapping
 
 from .algebra import Element, check_rank
-from .errors import MissingVariableError
+from .errors import MissingVariableError, RankMismatchError
 from .ortho import OrthogonalSystem, XPoint, ZPoint, orthogonalize
-from .syntax import Complement, Const, Join, Meet, System, Term, Var
+from .syntax import System, Term, compile_term, run
 
 # Maps atom index 0..r-1 to the surviving minterm index receiving that
 # atom; one assignment corresponds to one solution point.
@@ -36,38 +36,38 @@ def _point_rank(point) -> int:
     raise ValueError("cannot infer algebra rank from an empty point")
 
 
+def _point_masks(point, rank: int) -> "MaskCache":
+    """Variable name -> the mask of its value at ``point``, read on first
+    use, so a missing variable is reported where evaluation reaches it."""
+
+    def mask(name: str) -> int:
+        try:
+            value = point[name]
+        except KeyError:
+            raise MissingVariableError(f"point has no value for variable {name!r}") from None
+        if value.rank != rank:
+            raise RankMismatchError(
+                f"elements of incompatible algebras: rank {rank} vs rank {value.rank}"
+            )
+        return value.mask
+
+    return MaskCache(mask)
+
+
 def eval_term(t: Term, point) -> Element:
     """Evaluate ``t`` at ``point`` (an :class:`XPoint` or a nonempty
     mapping from variable names to elements of one algebra)."""
     rank = _point_rank(point)
-
-    def walk(node: Term) -> Element:
-        if isinstance(node, Var):
-            try:
-                return point[node.name]
-            except KeyError:
-                raise MissingVariableError(
-                    f"point has no value for variable {node.name!r}"
-                ) from None
-        if isinstance(node, Const):
-            return Element.one(rank) if node.value else Element.zero(rank)
-        if isinstance(node, Join):
-            return walk(node.left) | walk(node.right)
-        if isinstance(node, Meet):
-            return walk(node.left) & walk(node.right)
-        if isinstance(node, Complement):
-            return ~walk(node.term)
-        raise TypeError(f"not a term: {node!r}")
-
-    return walk(t)
+    return Element(run(compile_term(t), _point_masks(point, rank), (1 << rank) - 1), rank)
 
 
 def satisfies(system: System, point) -> bool:
     """True when every equation's sides evaluate equal at ``point``."""
-    return all(
-        eval_term(eq.lhs, point) == eval_term(eq.rhs, point)
-        for eq in system.equations
-    )
+    if not system.programs:
+        return True
+    rank = _point_rank(point)
+    masks, full = _point_masks(point, rank), (1 << rank) - 1
+    return all(run(lhs, masks, full) == run(rhs, masks, full) for lhs, rhs in system.programs)
 
 
 def is_consistent(system: OrthogonalSystem) -> bool:
@@ -84,18 +84,17 @@ def count_solutions(system: OrthogonalSystem, rank: int) -> int:
 
 
 class MaskCache(dict):
-    """Maps a coordinate mask to ``make(mask)``, calling ``make`` once per
-    distinct mask: a stream of s**r points over rank r repeats at most
-    2**r masks."""
+    """Maps a key to ``make(key)``, calling ``make`` once per distinct key:
+    a stream of s**r points over rank r repeats at most 2**r masks."""
 
     __slots__ = ("make",)
 
-    def __init__(self, make: Callable[[int], object]):
+    def __init__(self, make: Callable[[object], object]):
         super().__init__()
         self.make = make
 
-    def __missing__(self, mask: int):
-        value = self[mask] = self.make(mask)
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
         return value
 
 

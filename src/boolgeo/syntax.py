@@ -21,7 +21,10 @@ Terms nest at most :data:`MAX_TERM_DEPTH` levels deep; deeper input is a
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .errors import ParseError
 
@@ -72,314 +75,282 @@ class Equation:
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class System:
     """An ordered variable list plus a list of equations over it.
 
     Declared variables may go unused by the equations; they still count
-    toward the system's variable space.
+    toward the system's variable space.  ``programs`` holds the postfix
+    programs of each equation's two sides, which equality and hashing
+    compare; ``equations``, the Term AST, is built from them when first read.
     """
 
     variables: tuple[str, ...]
-    equations: tuple[Equation, ...]
+    programs: tuple[tuple[tuple, tuple], ...]
 
-    def __post_init__(self):
-        if len(self.variables) < 1:
+    def __init__(self, variables, equations):
+        variables, equations = tuple(variables), tuple(equations)
+        if len(variables) < 1:
             raise ValueError("a system needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        declared = set(self.variables)
-        for eq in self.equations:
-            for name in term_variables(eq.lhs) + term_variables(eq.rhs):
-                if name not in declared:
-                    raise ValueError(f"equation uses undeclared variable {name!r}")
+        programs = tuple((compile_term(eq.lhs), compile_term(eq.rhs)) for eq in equations)
+        declared = set(variables)
+        for name in _names(chain.from_iterable(chain.from_iterable(programs))):
+            if name not in declared:
+                raise ValueError(f"equation uses undeclared variable {name!r}")
+        self.__dict__.update(variables=variables, programs=programs, equations=equations)
 
+    @classmethod
+    def _from_programs(cls, variables, programs) -> "System":
+        self = object.__new__(cls)
+        self.__dict__.update(variables=variables, programs=programs)
+        return self
 
-def _deeper_than(t: Term, limit: int) -> bool:
-    """True when some root-to-leaf path of ``t`` passes more than ``limit``
-    operators and complements.  Iterative, so any depth is safe."""
-    stack = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > limit:
-            return True
-        if isinstance(node, (Join, Meet)):
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-        elif isinstance(node, Complement):
-            stack.append((node.term, depth + 1))
-    return False
+    @cached_property
+    def equations(self) -> tuple[Equation, ...]:
+        return tuple(Equation(_build(lhs), _build(rhs)) for lhs, rhs in self.programs)
+
+    def __repr__(self):
+        return f"System(variables={self.variables!r}, equations={self.equations!r})"
 
 
 def term_variables(t: Term) -> list[str]:
     """Variable names occurring in ``t``, in first-occurrence order."""
-    seen: dict[str, None] = {}
-    _collect_vars(t, seen)
+    return _names(compile_term(t))
+
+
+# --- postfix programs ----------------------------------------------------
+
+# A program is a term in postfix order: a tuple of variable names (str) and
+# these opcodes.  A leaf pushes its value, _NOT complements the top of the
+# stack, _JOIN and _MEET replace the top two with one.  Parsing, the
+# variable scans and both evaluators loop over programs, so no term depth
+# can exhaust the interpreter stack.
+_ZERO, _ONE, _JOIN, _MEET, _NOT = range(5)
+
+
+def compile_term(t: Term) -> tuple:
+    """The postfix program of ``t``, built without recursion."""
+    # Each node is written before its right and then its left subtree, which
+    # is the postfix order read backwards.
+    out = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            if not isinstance(node.name, str):
+                raise TypeError(f"variable name must be a str, got {node.name!r}")
+            out.append(node.name)
+        elif isinstance(node, Const):
+            out.append(_ONE if node.value else _ZERO)
+        elif isinstance(node, (Join, Meet)):
+            out.append(_JOIN if isinstance(node, Join) else _MEET)
+            todo += (node.left, node.right)
+        elif isinstance(node, Complement):
+            out.append(_NOT)
+            todo.append(node.term)
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    out.reverse()
+    return tuple(out)
+
+
+def _build(program) -> Term:
+    """The Term AST of a postfix program."""
+    stack = []
+    for op in program:
+        if op.__class__ is str:
+            stack.append(Var(op))
+        elif op is _NOT:
+            stack[-1] = Complement(stack[-1])
+        elif op is _JOIN or op is _MEET:
+            right = stack.pop()
+            stack[-1] = (Join if op is _JOIN else Meet)(stack[-1], right)
+        else:
+            stack.append(ONE if op is _ONE else ZERO)
+    return stack[0]
+
+
+def _names(items) -> list[str]:
+    """The variable names among program items, in first-occurrence order."""
+    seen = dict.fromkeys(items)
+    for op in (_ZERO, _ONE, _JOIN, _MEET, _NOT):
+        seen.pop(op, None)
     return list(seen)
 
 
-def _collect_vars(t: Term, seen: dict[str, None]) -> None:
-    if isinstance(t, Var):
-        seen.setdefault(t.name, None)
-    elif isinstance(t, Complement):
-        _collect_vars(t.term, seen)
-    elif isinstance(t, (Join, Meet)):
-        _collect_vars(t.left, seen)
-        _collect_vars(t.right, seen)
-
-
-# --- lexer -------------------------------------------------------------
-
-_VARS_KEYWORD = "vars"
-
-# token kinds
-_NAME, _CONST, _JOIN, _MEET, _BANG, _PRIME = "name", "const", "join", "meet", "bang", "prime"
-_LPAREN, _RPAREN, _EQ, _SEP, _COMMA, _VARS, _EOF = (
-    "lparen", "rparen", "eq", "sep", "comma", "vars", "eof",
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _is_name_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            tokens.append(_Token(_SEP, "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if c == ";":
-            tokens.append(_Token(_SEP, ";", line, start_col))
-        elif c == ",":
-            tokens.append(_Token(_COMMA, c, line, start_col))
-        elif c == "=":
-            tokens.append(_Token(_EQ, c, line, start_col))
-        elif c == "+":
-            tokens.append(_Token(_JOIN, c, line, start_col))
-        elif c == "\\":
-            if i + 1 < n and text[i + 1] == "/":
-                tokens.append(_Token(_JOIN, "\\/", line, start_col))
-                i += 1
-                col += 1
-            else:
-                raise ParseError("expected '/' after '\\'", line, start_col)
-        elif c in "*&":
-            tokens.append(_Token(_MEET, c, line, start_col))
-        elif c == "!":
-            tokens.append(_Token(_BANG, c, line, start_col))
-        elif c == "'":
-            tokens.append(_Token(_PRIME, c, line, start_col))
-        elif c == "(":
-            tokens.append(_Token(_LPAREN, c, line, start_col))
-        elif c == ")":
-            tokens.append(_Token(_RPAREN, c, line, start_col))
-        elif c in "01":
-            tokens.append(_Token(_CONST, c, line, start_col))
-        elif _is_name_start(c):
-            j = i + 1
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = _VARS if word == _VARS_KEYWORD else _NAME
-            tokens.append(_Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
+def run(program, masks, full: int) -> int:
+    """Evaluate ``program`` on bitmasks: a name reads ``masks[name]``, the
+    constants are 0 and ``full``, join and meet are ``|`` and ``&``, and
+    complement is XOR with ``full``."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op in program:
+        if op.__class__ is str:
+            push(masks[op])
+        elif op is _JOIN:
+            push(pop() | pop())
+        elif op is _MEET:
+            push(pop() & pop())
+        elif op is _NOT:
+            push(pop() ^ full)
         else:
-            raise ParseError(f"unexpected character {c!r}", line, start_col)
-        i += 1
-        col += 1
-    tokens.append(_Token(_EOF, "", line, col))
-    return tokens
+            push(full if op is _ONE else 0)
+    return stack[0]
 
 
-# --- parser ------------------------------------------------------------
+# --- parser --------------------------------------------------------------
+
+# One match per token: a name, the two-character join, or any other single
+# character but a blank.  [^\W\d] also starts a name at numeric characters
+# such as '²' that str.isalpha rejects; _check_names catches those.
+_TOKEN = re.compile(r"[^\W\d]\w*|\\/|[^ \t\r]")
+
+_BANG, _PRIME, _LPAREN, _RPAREN, _EQ, _SEP, _COMMA, _VARS, _EOF = range(5, 14)
+# The kind of every token that is not a name; the empty string marks the end.
+_KIND = {
+    "0": _ZERO, "1": _ONE, "+": _JOIN, "\\/": _JOIN, "*": _MEET, "&": _MEET,
+    "!": _BANG, "'": _PRIME, "(": _LPAREN, ")": _RPAREN, "=": _EQ,
+    ";": _SEP, "\n": _SEP, ",": _COMMA, "vars": _VARS, "": _EOF,
+}
 
 # Deepest term accepted, counted two ways: binary operators plus
 # complements on any root-to-leaf path of the tree (so a flat chain of k
-# joins is k - 1 deep), and parentheses open at once.  Term walkers recurse
-# up to three frames per tree level and the parser four per parenthesis, so
-# 200 stays below Python's default recursion limit of 1000.
+# joins is k - 1 deep), and parentheses open at once.  The parser and both
+# evaluators loop over postfix programs and take any depth; the bound
+# protects what still recurses over the Term AST, format_term and the
+# generated __eq__ and __hash__ of the node classes.
 MAX_TERM_DEPTH = 200
+_TOO_DEEP = f"term nested more than {MAX_TERM_DEPTH} levels deep"
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.open_parens = 0
+class _Fail(Exception):
+    """(token index or None, message) of a parse error."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != _EOF:
-            self.pos += 1
-        return tok
+def _scan(text: str) -> tuple[list[str], list]:
+    tokens = _TOKEN.findall(text) + [""]
+    return tokens, list(map(_KIND.get, tokens))
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
 
-    def skip_seps(self) -> None:
-        while self.peek().kind == _SEP:
-            self.advance()
+def _skip_seps(kinds: list, i: int) -> int:
+    while kinds[i] is _SEP:
+        i += 1
+    return i
 
-    def parse_system(self) -> System:
-        self.skip_seps()
-        declared = None
-        if self.peek().kind == _VARS:
-            declared = self.parse_header()
-            self.skip_seps()
-        equations = []
-        occurrence: dict[str, None] = {}
-        if self.peek().kind == _EOF:
-            raise self.fail("expected an equation")
-        while self.peek().kind != _EOF:
-            eq = self.parse_equation()
-            equations.append(eq)
-            for name in term_variables(eq.lhs) + term_variables(eq.rhs):
-                occurrence.setdefault(name, None)
-            if self.peek().kind == _SEP:
-                self.skip_seps()
-            elif self.peek().kind != _EOF:
-                raise self.fail(f"expected ';' or newline, got {self.peek().text!r}")
-        if declared is not None:
-            names = set(declared)
-            for name in occurrence:
-                if name not in names:
-                    raise ParseError(f"undeclared variable {name!r}")
-            variables = tuple(declared)
-        else:
-            variables = tuple(occurrence)
-        if not variables:
-            raise ParseError("system declares no variables and uses none")
-        return System(variables, tuple(equations))
 
-    def parse_header(self) -> list[str]:
-        self.advance()  # 'vars'
-        names: list[str] = []
-        seen = set()
-        while True:
-            tok = self.peek()
-            if tok.kind != _NAME:
-                raise self.fail("expected a variable name in 'vars' declaration")
-            if tok.text in seen:
-                raise ParseError(
-                    f"duplicate variable declaration {tok.text!r}", tok.line, tok.column
-                )
-            seen.add(tok.text)
-            names.append(self.advance().text)
-            if self.peek().kind == _COMMA:
-                self.advance()
-                continue
-            break
-        if self.peek().kind != _SEP:
-            raise self.fail("expected ';' or newline after 'vars' declaration")
-        return names
-
-    def parse_equation(self) -> Equation:
-        lhs = self.parse_bounded_term()
-        if self.peek().kind != _EQ:
-            raise self.fail("expected '=' in equation")
-        self.advance()
-        rhs = self.parse_bounded_term()
-        return Equation(lhs, rhs)
-
-    def too_deep(self, tok: _Token) -> ParseError:
-        return ParseError(
-            f"term nested more than {MAX_TERM_DEPTH} levels deep", tok.line, tok.column
-        )
-
-    def parse_bounded_term(self) -> Term:
-        """A whole term, rejected when deeper than MAX_TERM_DEPTH.
-
-        Every level of depth is one operator or complement token, so a term
-        spanning at most MAX_TERM_DEPTH tokens needs no depth walk.
-        """
-        first, start = self.peek(), self.pos
-        t = self.parse_term()
-        if self.pos - start > MAX_TERM_DEPTH and _deeper_than(t, MAX_TERM_DEPTH):
-            raise self.too_deep(first)
-        return t
-
-    def parse_term(self) -> Term:
-        t = self.parse_factor()
-        while self.peek().kind == _JOIN:
-            self.advance()
-            t = Join(t, self.parse_factor())
-        return t
-
-    def parse_factor(self) -> Term:
-        t = self.parse_unary()
-        while self.peek().kind == _MEET:
-            self.advance()
-            t = Meet(t, self.parse_unary())
-        return t
-
-    def parse_unary(self) -> Term:
-        # A run of '!' prefixes is counted in a loop, not parsed by
-        # recursion; each complements everything after it, prime included.
+def _term(tokens: list[str], kinds: list, i: int) -> tuple[tuple, int]:
+    """The program of the term starting at token ``i``, and the index of
+    the token after it.  Operators wait on ``ops`` until an operand of
+    lower or equal binding follows (shunting-yard); each open parenthesis
+    saves the operator stack height and the '!' run before it."""
+    program = []
+    emit = program.append
+    ops, groups, base = [], [], 0
+    while True:
         bangs = 0
-        while self.peek().kind == _BANG:
-            self.advance()
+        kind = kinds[i]
+        while kind is _BANG:
             bangs += 1
-        t = self.parse_atom()
-        if self.peek().kind == _PRIME:
-            self.advance()
-            t = Complement(t)
-        while bangs:
-            t = Complement(t)
-            bangs -= 1
-        return t
+            i += 1
+            kind = kinds[i]
+        if kind is _LPAREN:
+            if len(groups) >= MAX_TERM_DEPTH:
+                raise _Fail(i, _TOO_DEEP)
+            groups.append((base, bangs))
+            base = len(ops)
+            i += 1
+            continue
+        if kind is not None and kind > _ONE:  # not a name or a constant
+            got = f"expected a term, got {tokens[i]!r}" if tokens[i] else "unexpected end of input"
+            raise _Fail(i, "the word 'vars' is reserved" if kind is _VARS else got)
+        emit(tokens[i] if kind is None else kind)
+        i += 1
+        while True:  # close the groups this operand ends
+            if kinds[i] is _PRIME:
+                emit(_NOT)
+                i += 1
+            program += (_NOT,) * bangs
+            kind = kinds[i]
+            if kind is not _RPAREN or not groups:
+                break
+            while len(ops) > base:
+                emit(ops.pop())
+            base, bangs = groups.pop()
+            i += 1
+        if kind is _JOIN or kind is _MEET:
+            while len(ops) > base and ops[-1] >= kind:
+                emit(ops.pop())
+            ops.append(kind)
+            i += 1
+        elif groups:
+            raise _Fail(i, "expected ')'")
+        else:
+            program += reversed(ops)
+            return tuple(program), i
 
-    def parse_atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == _NAME:
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == _CONST:
-            self.advance()
-            return Const(tok.text == "1")
-        if tok.kind == _LPAREN:
-            if self.open_parens >= MAX_TERM_DEPTH:
-                raise self.too_deep(tok)
-            self.open_parens += 1
-            self.advance()
-            t = self.parse_term()
-            if self.peek().kind != _RPAREN:
-                raise self.fail("expected ')'")
-            self.advance()
-            self.open_parens -= 1
-            return t
-        if tok.kind == _VARS:
-            raise self.fail("the word 'vars' is reserved")
-        raise self.fail(f"expected a term, got {tok.text!r}" if tok.text else "unexpected end of input")
+
+def _bounded_term(tokens: list[str], kinds: list, i: int) -> tuple[tuple, int]:
+    """:func:`_term`, rejected when deeper than MAX_TERM_DEPTH.  Every
+    level is one operator or complement token, so only a term spanning more
+    than MAX_TERM_DEPTH tokens needs the height pass."""
+    program, end = _term(tokens, kinds, i)
+    if end - i > MAX_TERM_DEPTH:
+        heights = []
+        for op in program:
+            if op is _NOT:
+                heights[-1] += 1
+            elif op is _JOIN or op is _MEET:
+                heights.append(max(heights.pop(), heights.pop()) + 1)
+            else:
+                heights.append(0)
+        if heights[0] > MAX_TERM_DEPTH:
+            raise _Fail(i, _TOO_DEEP)
+    return program, end
+
+
+def _header(tokens: list[str], kinds: list, i: int) -> tuple[dict, int]:
+    """The names of the ``vars`` declaration after token ``i``."""
+    names: dict[str, None] = {}
+    while True:
+        if kinds[i] is not None:
+            raise _Fail(i, "expected a variable name in 'vars' declaration")
+        if tokens[i] in names:
+            raise _Fail(i, f"duplicate variable declaration {tokens[i]!r}")
+        names[tokens[i]] = None
+        if kinds[i + 1] is not _COMMA:
+            break
+        i += 2
+    if kinds[i + 1] is not _SEP:
+        raise _Fail(i + 1, "expected ';' or newline after 'vars' declaration")
+    return names, i + 1
+
+
+def _check_names(names) -> None:
+    for name in names:
+        if not (name[0].isalpha() or name[0] == "_"):
+            raise _Fail(None, "")  # _error reports the character
+
+
+def _error(text: str, index, msg: str) -> ParseError:
+    """The ParseError for ``msg`` at token ``index`` (None: no position),
+    unless ``text`` holds a character that starts no token: that is
+    reported first, as the first error in the text."""
+    offset = len(text)
+    for k, match in enumerate(_TOKEN.finditer(text)):
+        tok = match.group()
+        if k == index:
+            offset = match.start()
+        if tok not in _KIND and not (tok[0].isalpha() or tok[0] == "_"):
+            offset = match.start()
+            msg = "expected '/' after '\\'" if tok == "\\" else f"unexpected character {tok[0]!r}"
+            break
+    else:
+        if index is None:
+            return ParseError(msg)
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(msg, line, offset - text.rfind("\n", 0, offset))
 
 
 def parse_system(text: str) -> System:
@@ -388,18 +359,51 @@ def parse_system(text: str) -> System:
     Variable order is declaration order when a ``vars`` header is present,
     otherwise first-occurrence order across the equations.
     """
-    return _Parser(_tokenize(text)).parse_system()
+    tokens, kinds = _scan(text)
+    try:
+        i = _skip_seps(kinds, 0)
+        declared = None
+        if kinds[i] is _VARS:
+            declared, i = _header(tokens, kinds, i + 1)
+            i = _skip_seps(kinds, i)
+        if kinds[i] is _EOF:
+            raise _Fail(i, "expected an equation")
+        programs = []
+        while kinds[i] is not _EOF:
+            lhs, i = _bounded_term(tokens, kinds, i)
+            if kinds[i] is not _EQ:
+                raise _Fail(i, "expected '=' in equation")
+            rhs, i = _bounded_term(tokens, kinds, i + 1)
+            programs.append((lhs, rhs))
+            if kinds[i] is _SEP:
+                i = _skip_seps(kinds, i)
+            elif kinds[i] is not _EOF:
+                raise _Fail(i, f"expected ';' or newline, got {tokens[i]!r}")
+        used = _names(chain.from_iterable(chain.from_iterable(programs)))
+        undeclared = [name for name in used if declared is not None and name not in declared]
+        if undeclared:
+            raise _Fail(None, f"undeclared variable {undeclared[0]!r}")
+        variables = tuple(used if declared is None else declared)
+        if not variables:
+            raise _Fail(None, "system declares no variables and uses none")
+        _check_names(variables)
+    except _Fail as exc:
+        raise _error(text, *exc.args) from None
+    return System._from_programs(variables, tuple(programs))
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term (no '=')."""
-    parser = _Parser(_tokenize(text))
-    parser.skip_seps()
-    t = parser.parse_bounded_term()
-    parser.skip_seps()
-    if parser.peek().kind != _EOF:
-        raise parser.fail(f"unexpected trailing input {parser.peek().text!r}")
-    return t
+    tokens, kinds = _scan(text)
+    try:
+        program, i = _bounded_term(tokens, kinds, _skip_seps(kinds, 0))
+        i = _skip_seps(kinds, i)
+        if kinds[i] is not _EOF:
+            raise _Fail(i, f"unexpected trailing input {tokens[i]!r}")
+        _check_names(_names(program))
+    except _Fail as exc:
+        raise _error(text, *exc.args) from None
+    return _build(program)
 
 
 # --- formatting --------------------------------------------------------
