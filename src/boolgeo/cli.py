@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
+import math
 import operator
 import os
 import sys
@@ -57,6 +59,12 @@ from .syntax import parse_system
 # decompose refuses (exit 2) to write more components than this; the count,
 # C(s, r) for s surviving minterms, is known before any component is built.
 MAX_COMPONENTS = 10**6
+
+# stats refuses (exit 2) an exact --avg-ir or --iso-prob value whose cost
+# exceeds this, about 2 s: m big-int steps on m-bit numbers, times 8 for
+# --iso-prob, which also squares m/2 of them (8 times as slow at m = 20000).
+MAX_STATS_COST = 5 * 10**9
+_STATS_COST_PER_M2 = {"avg-ir": 1, "iso-prob": 8}
 
 
 class _UsageError(BoolgeoError):
@@ -278,39 +286,58 @@ def _cmd_solve(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
         headers = list(system.variables)
     else:
         headers = [f"x{i + 1}" for i in range(o.n)]
-    points = solve.solution_masks(o, rank, z_space=cfg.z_space)
-    if cfg.limit is not None:
-        points = itertools.islice(points, cfg.limit)
-
-    # Rows are written as they are generated, each cell looked up by its
-    # mask; the bytes are those of printing each ZPoint or XPoint, or of
-    # json.dumps of the whole payload.
+    # A format is the text of a cell's mask, an opening, a closing and a
+    # prefix per column of each point, and a column and a point separator;
+    # the bytes are those of printing each ZPoint or XPoint, of csv.writer
+    # rows or of json.dumps of the whole payload.
+    opening, closing, between, separator, ending = "", "\n", " ", "", ""
+    prefixes = [""] * len(headers)
     if cfg.fmt == "json":
-        cells = solve.MaskCache(lambda mask: json.dumps(list(Element(mask, rank).atoms())))
+        make = lambda mask: json.dumps(list(Element(mask, rank).atoms()))  # noqa: E731
+        opening, closing, between, separator, ending = "{", "}", ", ", ", ", "]}\n"
         if cfg.z_space:
-            keys, opening, closing = None, '{"cells": [', "]}"
+            opening, closing = '{"cells": [', "]}"
         else:
-            keys, opening, closing = [json.dumps(h) + ": " for h in headers], "{", "}"
+            prefixes = [json.dumps(h) + ": " for h in headers]
         out.write(f'{{"layout": "lsb-first", "rank": {rank}, "solutions": [')
-        separator = ""
-        for masks in points:
-            values = map(cells.__getitem__, masks)
-            if keys is not None:
-                values = map(str.__add__, keys, values)
-            out.write(separator + opening + ", ".join(values) + closing)
-            separator = ", "
-        out.write("]}\n")
-        return
-    cells = solve.MaskCache(lambda mask: str(Element(mask, rank)))
-    if cfg.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(headers)
-        for masks in points:
-            writer.writerow(map(cells.__getitem__, masks))
+    elif cfg.fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerow(headers)
+        between = ","
+
+        def make(mask):
+            field = io.StringIO()
+            csv.writer(field, lineterminator="").writerow([str(Element(mask, rank))])
+            return field.getvalue()
+
     else:
+        make = lambda mask: str(Element(mask, rank))  # noqa: E731
         prefixes = [h + "=" for h in headers]
-        for masks in points:
-            out.write(" ".join(map(str.__add__, prefixes, map(cells.__getitem__, masks))) + "\n")
+
+    # One str.format template renders a batch: every row of the tail table
+    # under one head.  A slot is keyed by column and tail mask, so a head
+    # fills each once from a per-run cache of cell texts; the last batch
+    # under --limit is cut to its first rows.
+    total = solve.count_solutions(o, rank)
+    if cfg.limit is not None:
+        total = min(total, cfg.limit)
+    tails, heads = solve.split_atoms(o, rank, z_space=cfg.z_space, points=total)
+    escape = lambda text: text.replace("{", "{{").replace("}", "}}")  # noqa: E731
+    opening, closing, prefixes = escape(opening), escape(closing), list(map(escape, prefixes))
+    slots = solve.MaskCache(lambda key: f"{prefixes[key[0]]}{{{len(slots)}}}")
+    rows = [opening + between.join(map(slots.__getitem__, enumerate(t))) + closing for t in tails]
+    columns, tail_masks = [c for c, _ in slots], [m for _, m in slots]
+    cells = solve.MaskCache(make)
+    full, rest = divmod(total, len(tails))
+    batch, lead = separator.join(rows), ""
+    for k, head in zip(range(full + (rest > 0)), heads):
+        if k == full:
+            batch = separator.join(rows[:rest])
+        masks = head  # a one-row table places no atom: its slots are the head's cells
+        if len(tails) > 1:
+            masks = map(operator.or_, map(head.__getitem__, columns), tail_masks)
+        out.write(lead + batch.format(*map(cells.__getitem__, masks)))
+        lead = separator
+    out.write(ending)
 
 
 def _cmd_decompose(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
@@ -462,6 +489,12 @@ def _cmd_stats(cfg: RunConfig, stdin: IO[str], out: IO[str]) -> None:
         raise _UsageError("--exhaustive applies to --avg-irr")
     if cfg.samples is not None and cfg.samples < 1:
         raise _UsageError("--samples must be positive")
+
+    for kind, ms in (("avg-ir", cfg.avg_ir), ("iso-prob", cfg.iso_prob)):
+        limit = math.isqrt(MAX_STATS_COST // _STATS_COST_PER_M2[kind])
+        for m in ms or ():
+            if m > limit:
+                raise LimitExceededError(f"--{kind} m={m} exceeds the limit m <= {limit}")
 
     results = []  # (kind, m, r, exact Fraction, empirical float | None)
     if cfg.avg_irr is not None:

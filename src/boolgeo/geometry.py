@@ -96,7 +96,8 @@ class Decomposition(Sequence[OrthogonalSystem]):
         return hash((self.system, self._extra))
 
     def __repr__(self):
-        # The system's own repr prints its 2**n-bit mask in decimal.
+        # Sizes only: the system's own repr prints its whole 2**n-bit mask
+        # (in hex), as long as 2**14 digits at 16 variables.
         return (
             f"Decomposition(n={self.system.n}, zeroed={self.system.num_zeroed}, "
             f"rank={self.rank}, components={self._count})"

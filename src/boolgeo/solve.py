@@ -18,13 +18,10 @@ from .errors import MissingVariableError, RankMismatchError
 from .ortho import OrthogonalSystem, XPoint, ZPoint, orthogonalize
 from .syntax import System, Term, compile_term, run
 
-# Maps atom index 0..r-1 to the surviving minterm index receiving that
-# atom; one assignment corresponds to one solution point.
-AtomAssignment = tuple[int, ...]
 
-# Cap on the table of the fastest atoms' x-space masks, in mask cells
-# (rows times variables).  The table fills before the first point, so the
-# cap bounds the work a small --limit pays for it.
+# Cap on the table of the fastest atoms' masks, in mask cells (rows times
+# columns).  The table fills before the first point, so the cap bounds the
+# work a small --limit pays for it.
 _TAIL_TABLE_CELLS = 1 << 12
 
 
@@ -98,18 +95,50 @@ class MaskCache(dict):
         return value
 
 
-def _x_masks(assignment: AtomAssignment, first_atom: int, n: int) -> tuple[int, ...]:
-    # x_i holds each atom whose minterm has bit i-1 set; the atoms placed
-    # by ``assignment`` are first_atom, first_atom + 1, ...
-    masks = [0] * n
-    for atom, alpha in enumerate(assignment, first_atom):
-        i = 0
-        while alpha:
-            if alpha & 1:
-                masks[i] |= 1 << atom
-            alpha >>= 1
-            i += 1
-    return tuple(masks)
+def split_atoms(
+    system: OrthogonalSystem, rank: int, *, z_space: bool = False, points: int | None = None
+) -> tuple[list[tuple[int, ...]], Iterator[list[int]]]:
+    """Split the atoms into the slowest (the head) and the fastest (the tail).
+
+    Returns the tail table, every placement of the fastest atoms as masks
+    of the columns x_1..x_n (with ``z_space`` the 2**n minterm cells), and
+    a lazy iterator of the masks of each placement of the slowest atoms.
+    Each head joined with each tail row, in order, gives the solutions
+    over the rank ``rank`` algebra in the order of :func:`solutions_z`.
+
+    The table grows while more than one minterm survives, it stays under
+    ``_TAIL_TABLE_CELLS`` and its length squared is below the number of
+    points to be written (``points``, at most s**r), which keeps it near
+    sqrt(points) rows.
+    """
+    check_rank(rank)
+    surviving = system.surviving
+    s = len(surviving)
+    width = system.num_minterms if z_space else system.n
+    # The columns an atom placed on minterm alpha lands in: its own cell,
+    # or each x_i whose bit is set in alpha (found on first use, so a
+    # 16-variable stream that places 8 atoms reads 8 minterms, not 65536).
+    columns = MaskCache(
+        lambda alpha: (alpha,) if z_space else [i for i in range(width) if alpha >> i & 1]
+    )
+
+    def place(row, atoms) -> list[int]:
+        row = list(row)
+        for atom, alpha in atoms:
+            for i in columns[alpha]:
+                row[i] |= 1 << atom
+        return row
+
+    points = s**rank if points is None else min(points, s**rank)
+    zeros = (0,) * width
+    slow, tails = rank, [zeros]
+    while slow and s > 1 and len(tails) ** 2 < points and (
+        len(tails) * s * width <= _TAIL_TABLE_CELLS
+    ):
+        slow -= 1
+        tails = [tuple(place(tail, [(slow, alpha)])) for alpha in surviving for tail in tails]
+    heads = itertools.product(surviving, repeat=slow)
+    return tails, (place(zeros, enumerate(head)) for head in heads)
 
 
 def solution_masks(
@@ -119,34 +148,16 @@ def solution_masks(
     masks, in the order of :func:`solutions_z`: x_1..x_n, or with
     ``z_space`` the 2**n minterm cells.
 
-    Each point is built from its atom assignment.  A minterm-space point
-    is r nonzero cells on a shared all-zero row.  A variable-space point
-    joins the masks of its slowest atoms, computed once per prefix, with
-    one row of a table holding every placement of the fastest atoms; the
-    table stays under ``_TAIL_TABLE_CELLS``, so the stream stays lazy.
+    Each point joins the masks of its slowest atoms, built once per
+    prefix, with one row of the table of the fastest atoms
+    (:func:`split_atoms`); the table stays under ``_TAIL_TABLE_CELLS``,
+    so the stream stays lazy.
     """
-    check_rank(rank)
-    surviving = system.surviving
-    if z_space:
-        zeros = [0] * system.num_minterms
-        for assignment in itertools.product(surviving, repeat=rank):
-            cells = zeros.copy()
-            for atom, alpha in enumerate(assignment):
-                cells[alpha] |= 1 << atom
-            yield tuple(cells)
+    tails, heads = split_atoms(system, rank, z_space=z_space)
+    if len(tails) == 1:  # the table places no atom: each head is a point
+        yield from map(tuple, heads)
         return
-    n = system.n
-    slow = rank
-    tails = [(0,) * n]
-    while slow and len(tails) * len(surviving) * n <= _TAIL_TABLE_CELLS:
-        slow -= 1
-        tails = [
-            tuple(map(or_, head, tail))
-            for head in (_x_masks((alpha,), slow, n) for alpha in surviving)
-            for tail in tails
-        ]
-    for prefix in itertools.product(surviving, repeat=slow):
-        head = _x_masks(prefix, 0, n)
+    for head in heads:
         for tail in tails:
             yield tuple(map(or_, head, tail))
 

@@ -16,7 +16,7 @@ import json
 import time
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +296,38 @@ def test_decompose_past_the_component_cap_exits_2(argv, stdin_text, count):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and str(count) in err
     assert elapsed < 1.0, f"{argv} took {elapsed:.2f}s"
+
+
+def stats_m_limit(kind):
+    return isqrt(cli.MAX_STATS_COST // cli._STATS_COST_PER_M2[kind])
+
+
+@pytest.mark.parametrize(
+    "argv,kind,m",
+    [
+        (["stats", "--avg-ir", "200000"], "avg-ir", 200000),
+        (["stats", "--iso-prob", "50000"], "iso-prob", 50000),
+        (["stats", "--avg-ir", "4,80000", "--format", "json"], "avg-ir", 80000),
+        (["stats", "--iso-prob", "8,25001", "--samples", "10", "--format", "csv"], "iso-prob", 25001),
+        (["stats", "--avg-irr", "4", "2", "--iso-prob", str(10**9)], "iso-prob", 10**9),
+    ],
+)
+def test_stats_past_the_cost_limit_exits_2(argv, kind, m):
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"--{kind} m={m}" in err
+    assert str(stats_m_limit(kind)) in err
+    assert elapsed < 1.0, f"{argv} took {elapsed:.2f}s"
+
+
+def test_stats_at_the_cost_limit_is_refused_one_past_it():
+    for kind in ("avg-ir", "iso-prob"):
+        m = stats_m_limit(kind)
+        assert cli._STATS_COST_PER_M2[kind] * m * m <= cli.MAX_STATS_COST
+        code, out, _ = invoke(["stats", f"--{kind}", str(m + 1)])
+        assert (code, out) == (2, "")
 
 
 def test_decompose_below_the_component_cap_is_written():

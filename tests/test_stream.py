@@ -29,6 +29,7 @@ from boolgeo import (
 )
 from boolgeo.cli import build_parser, config_from_args, run
 from boolgeo.ortho import format_minterm
+from boolgeo.solve import solution_masks, split_atoms
 from oracles import satisfying_xpoints, zpoints_brute
 
 FAST = settings(max_examples=60, deadline=None)
@@ -224,3 +225,132 @@ def test_sixteen_variable_tautology_streams_lazily(argv, points):
         assert lines[0] == " ".join(f"x{i}={{}}" for i in range(1, 17))
         assert lines[1] == "x1={7} " + " ".join(f"x{i}={{}}" for i in range(2, 17))
     assert elapsed < 5.0, f"{argv} took {elapsed:.2f}s"
+
+
+# --- batch edges -------------------------------------------------------------------------
+#
+# solve renders one batch, every row of the tail table under one head, per
+# str.format call, and cuts the last batch to the rows a --limit leaves.
+
+EDGES = settings(max_examples=25, deadline=None)
+FORMATS = ["text", "csv", "json"]
+
+
+@st.composite
+def small_streams(draw, max_points=300):
+    o, rank = draw(streams())
+    s = o.num_minterms - o.num_zeroed
+    while rank > 1 and s**rank > max_points:
+        rank -= 1
+    return o, rank
+
+
+def batch_edge_limits(o, rank, z_space):
+    """Every --limit within 2 of 1, 2 or 3 whole batches, where a batch is
+    the tail table (s**i rows) that a run with that limit renders."""
+    s = o.num_minterms - o.num_zeroed
+    limits = set()
+    for i in range(rank + 1):
+        for whole in (s**i, 2 * s**i, 3 * s**i):
+            for limit in range(max(whole - 2, 0), whole + 3):
+                tails, _ = split_atoms(o, rank, z_space=z_space, points=limit)
+                if len(tails) == s**i:
+                    limits.add(limit)
+    return sorted(limits)
+
+
+def solve_argv(rank, fmt, z_space, limit):
+    argv = ["solve", "--rank", str(rank), "--format", fmt]
+    if z_space:
+        argv.append("--z")
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    return argv
+
+
+def check_json_input(o, rank, fmt, z_space, limit):
+    names = tuple(f"x{i + 1}" for i in range(o.n))
+    code, out, err = invoke(solve_argv(rank, fmt, z_space, limit), json.dumps(o.to_json_dict()))
+    assert (code, err) == (0, "")
+    assert out == ref_output(o, names, rank, fmt, z_space, limit)
+
+
+@EDGES
+@given(case=small_streams(), fmt=st.sampled_from(FORMATS), z_space=st.booleans())
+def test_cli_solve_limit_at_batch_edges(case, fmt, z_space):
+    o, rank = case
+    for limit in batch_edge_limits(o, rank, z_space):
+        check_json_input(o, rank, fmt, z_space, limit)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "o,rank,z_space",
+    [
+        (OrthogonalSystem(2, 0), 6, False),  # 4 survivors: batches of 16 and 64 rows
+        (OrthogonalSystem.from_indices(3, [2, 5]), 4, False),
+        (OrthogonalSystem.from_indices(4, [1, 6]), 3, True),  # 14 survivors, 16 cells
+    ],
+)
+def test_cli_solve_limit_at_batch_edges_of_grown_tables(o, rank, z_space, fmt):
+    limits = batch_edge_limits(o, rank, z_space)
+    assert any(len(split_atoms(o, rank, z_space=z_space, points=k)[0]) > 1 for k in limits)
+    for limit in limits:
+        check_json_input(o, rank, fmt, z_space, limit)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("z_space", [False, True])
+@pytest.mark.parametrize("rank", [1, 64])
+def test_cli_solve_single_survivor(rank, z_space, fmt):
+    # One point; at rank 64 the table must not grow over the 64 atoms.
+    for n, alpha in [(1, 0), (1, 1), (3, 5), (4, 9)]:
+        o = OrthogonalSystem(n, ((1 << (1 << n)) - 1) & ~(1 << alpha))
+        tails, _ = split_atoms(o, rank, z_space=z_space)
+        assert len(tails) == 1
+        for limit in (None, 0, 1, 2):
+            check_json_input(o, rank, fmt, z_space, limit)
+
+
+@FAST
+@given(case=streams(max_n=4), limit=st.one_of(st.none(), st.integers(0, 40)))
+def test_cli_solve_z_space_csv(case, limit):
+    o, rank = case
+    check_json_input(o, rank, "csv", True, limit)
+
+
+@FAST
+@given(
+    case=streams(max_n=3),
+    fmt=st.sampled_from(FORMATS),
+    z_space=st.booleans(),
+    limit=st.sampled_from([None, 0, 1, 7]),
+)
+def test_cli_solve_non_ascii_names(case, fmt, z_space, limit):
+    # JSON keys are escaped (\u017f); text and csv keep the names as written.
+    o, rank = case
+    names = ("ſ", "é1", "Ω")[: o.n]
+    code, out, err = invoke(solve_argv(rank, fmt, z_space, limit), beq_text(o, names))
+    assert (code, err) == (0, "")
+    assert out == ref_output(o, names, rank, fmt, z_space, limit)
+
+
+def test_cli_solve_limit_past_sys_maxsize_writes_every_point():
+    o = OrthogonalSystem.from_indices(2, [0])
+    code, out, err = invoke(solve_argv(3, "text", False, 10**30), json.dumps(o.to_json_dict()))
+    assert (code, err) == (0, "")
+    assert out == ref_output(o, ("x1", "x2"), 3, "text", False, None)
+
+
+@FAST
+@given(case=streams())
+def test_solution_masks_keeps_the_reference_order(case):
+    o, rank = case
+    names = tuple(f"x{i + 1}" for i in range(o.n))
+    zpoints = list(ref_zpoints(o, rank))
+    assert list(solution_masks(o, rank, z_space=True)) == [
+        tuple(cell.mask for cell in z.cells) for z in zpoints
+    ]
+    assert list(solution_masks(o, rank)) == [
+        tuple(value.mask for value in x_from_z(z, names).values) for z in zpoints
+    ]
