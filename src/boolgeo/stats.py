@@ -61,12 +61,15 @@ def avg_irr_closed(m: int, r: int) -> Fraction:
 
         (sum_{i<r} C(m, i) + 2**(m-r) * C(m, r)) / 2**m
 
-    Inconsistent systems participate with component count 1.
+    Inconsistent systems participate with component count 1.  The
+    binomials are the first r + 1 of one walk, in O(r) big-int steps.
     """
     _check_m(m)
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
-    total = sum(comb(m, i) for i in range(r)) + (1 << (m - r)) * comb(m, r)
+    total = 0
+    for i, c in zip(range(r + 1), _binomials(m)):
+        total += c if i < r else c << (m - r)
     return Fraction(total, 1 << m)
 
 

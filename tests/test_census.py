@@ -10,9 +10,11 @@ paths must agree with them value for value and byte for byte.
 """
 
 import csv
+import hashlib
 import io
 import itertools
 import json
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +28,7 @@ from boolgeo import (
     OrthogonalSystem,
     are_isomorphic,
     avg_ir_rank,
+    avg_irr_closed,
     avg_irr_exhaustive,
     decompose,
     irr_count,
@@ -49,6 +52,11 @@ def invoke(argv, stdin_text=""):
 
 
 # --- references -------------------------------------------------------------
+
+
+def ref_avg_irr_closed(m, r):
+    total = sum(comb(m, i) for i in range(r)) + (1 << (m - r)) * comb(m, r)
+    return Fraction(total, 1 << m)
 
 
 def ref_avg_ir_rank(m):
@@ -142,6 +150,13 @@ def consistent_systems(draw, max_n=5, max_components=3000):
 
 
 # --- identities ---------------------------------------------------------------
+
+
+@FAST
+@given(m=st.integers(1, 400), data=st.data())
+def test_avg_irr_closed_matches_the_comb_sum(m, data):
+    r = data.draw(st.integers(1, m))
+    assert avg_irr_closed(m, r) == ref_avg_irr_closed(m, r)
 
 
 @FAST
@@ -352,3 +367,92 @@ def test_stats_exact_values_past_the_int_digit_cap(fmt):
         assert json.loads(out)["results"][0]["exact"] == text
     else:
         assert out.splitlines()[1] == f"iso-prob,7500,,{text},{float(exact)},,,"
+
+
+def stats_text(argv):
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_stats_avg_irr_small_m_is_written_as_before():
+    argv = ["stats", "--avg-irr", "4", "2", "--format"]
+    assert stats_text(argv + ["text"]) == "29/16 (1.8125)\n"
+    assert stats_text(argv + ["json"]) == (
+        '{"results": [{"kind": "avg-irr", "m": 4, "exact": "29/16", "approx": 1.8125, "r": 2}]}\n'
+    )
+    assert stats_text(argv + ["csv"]) == (
+        "kind,m,r,exact,approx,samples,seed,empirical\navg-irr,4,2,29/16,1.8125,,,\n"
+    )
+
+
+def test_stats_avg_irr_4096_matches_the_comb_sum():
+    exact = ref_avg_irr_closed(4096, 2)
+    text = f"{Decimal(exact.numerator)}/{Decimal(exact.denominator)}"
+    argv = ["stats", "--avg-irr", "4096", "2", "--format"]
+    assert stats_text(argv + ["text"]) == f"{text} ({float(exact)})\n"
+    assert json.loads(stats_text(argv + ["json"]))["results"][0]["exact"] == text
+    assert stats_text(argv + ["csv"]).splitlines()[1] == f"avg-irr,4096,2,{text},{float(exact)},,,"
+
+
+# Sizes and digests of the output for m = 10**6, as written when each
+# integer went through one Decimal(int) conversion (about 3.6 s per format).
+AVG_IRR_MILLION = {
+    "text": (602091, "bc4519de8331df3cc7433a82fcfc567c2b26f17f92ba3517409f037401a2b73c"),
+    "json": (602169, "c9940d410dc425c4f17720c6375e55efd3613f544f1f726815eb974cf44af347"),
+    "csv": (602155, "d70bfcd0c7aa9bc3efb9204ca9e501c1f74f2b3c281c7ce12bee68f2d8a2a414"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(AVG_IRR_MILLION))
+def test_stats_avg_irr_million_is_written_as_before(fmt):
+    out = stats_text(["stats", "--avg-irr", "1000000", "2", "--format", fmt])
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == AVG_IRR_MILLION[fmt]
+
+
+@pytest.mark.parametrize("bits", [1, 16383, 16384, 16385, 100003])
+def test_exact_decimal_matches_one_conversion(bits):
+    rng = random.Random(bits)
+    for n in (1 << (bits - 1), rng.getrandbits(bits), (1 << bits) - 1):
+        assert str(cli._decimal(n)) == str(Decimal(n))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_stats_avg_irr_past_float_range_exits_2(fmt):
+    # The exact average is about 10**750; its float approximation used to
+    # raise OverflowError, a traceback with exit 1.
+    code, out, err = invoke(["stats", "--avg-irr", "5000", "2500", "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == "error: --avg-irr m=5000 r=2500: the exact value is past float range\n"
+
+
+def avg_irr_m_limit(r):
+    return cli.MAX_STATS_COST // (r + cli._AVG_IRR_TEXT_COST)
+
+
+@pytest.mark.parametrize(
+    "argv,m,r",
+    [
+        (["stats", "--avg-irr", "100000", "50000"], 100000, 50000),
+        (["stats", "--avg-irr", str(10**7), "2", "--format", "json"], 10**7, 2),
+        (["stats", "--avg-irr", "4,1000000", "5000", "--format", "csv"], 1000000, 5000),
+        (["stats", "--avg-irr", str(avg_irr_m_limit(3) + 1), "3"], avg_irr_m_limit(3) + 1, 3),
+    ],
+)
+def test_stats_avg_irr_past_the_cost_limit_exits_2(argv, m, r):
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == f"error: --avg-irr m={m} r={r} exceeds the limit m <= {avg_irr_m_limit(r)}\n"
+    assert elapsed < 1.0, f"{argv} took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("m,r,code,out", [(20000, 20000, 0, "1 (1.0)\n"), (40000, 20000, 2, "")])
+def test_stats_avg_irr_walk_within_budget(m, r, code, out):
+    # About 0.1 s and 0.2 s on a 2-vCPU machine; one comb call per term ran
+    # past 40 s for m=40000 r=20000.
+    start = time.perf_counter()
+    assert invoke(["stats", "--avg-irr", str(m), str(r)])[:2] == (code, out)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"--avg-irr {m} {r} took {elapsed:.2f}s"

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from boolgeo.cli import build_parser, config_from_args, main, run
 
 
@@ -219,6 +221,63 @@ class TestIso:
     def test_mismatched_variable_counts(self):
         code, _, err = invoke(["iso", "-e", "x1 = 1", "-e", "x1 * x2 = x2"])
         assert code == 4
+
+
+class TestRecordBytes:
+    """The one-record outputs, byte for byte."""
+
+    def test_classify_csv(self):
+        code, out, err = invoke(["classify", "--rank", "2", "-e", SYSTEM, "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "n,rank,coordinate_rank,irreducibility_rank,irreducible,components\n"
+            "2,2,3,3,False,3\n"
+        )
+
+    def test_classify_text(self):
+        code, out, err = invoke(["classify", "--rank", "3", "-e", SYSTEM, "--format", "text"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "coordinate rank: 3\n"
+            "irreducibility rank: 3\n"
+            "irreducible over rank 3: yes\n"
+            "components over rank 3: 1\n"
+        )
+
+    def test_iso_csv(self):
+        code, out, err = invoke(["iso", "-e", "x1 = x1", "-e", "x1 = 1", "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out == "n,a1,a2,isomorphic\n1,0,1,False\n"
+
+    def test_iso_text(self):
+        code, out, err = invoke(["iso", "-e", SYSTEM, "-e", "x1 * x2 = x1", "--format", "text"])
+        assert (code, err) == (0, "")
+        assert out == "isomorphic (|A1| = 1, |A2| = 1)\n"
+
+    def test_iso_puts_inline_systems_before_files(self, tmp_path):
+        path = tmp_path / "second.beq"
+        path.write_text("x1 * x2 = x1", encoding="utf-8")
+        code, out, err = invoke(["iso", str(path), "-e", "x1 = x1; x2 = 1", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == '{"n": 2, "a1": 2, "a2": 1, "isomorphic": false}\n'
+
+    @pytest.mark.parametrize(
+        "fmt,consistent,inconsistent",
+        [
+            ("json", '{"count": 9}\n', '{"count": 0}\n'),
+            ("csv", "count\n9\n", "count\n0\n"),
+            ("text", "9\n", "0\n"),
+        ],
+    )
+    def test_solve_count(self, fmt, consistent, inconsistent):
+        argv = ["solve", "--rank", "2", "--count", "--format", fmt, "-e"]
+        assert invoke(argv + [SYSTEM]) == (0, consistent, "")
+        assert invoke(argv + ["x1 = 0; x1 = 1"]) == (0, inconsistent, "")
+
+    def test_stats_empty_list_asks_for_a_computation(self):
+        code, out, err = invoke(["stats", "--avg-ir", ""])
+        assert (code, out) == (4, "")
+        assert "needs at least one" in err
 
 
 class TestStats:
