@@ -71,6 +71,11 @@ MAX_COMPONENTS = 10**6
 MAX_STATS_COST = 5 * 10**9
 _STATS_COST_PER_M2 = {"avg-ir": 1, "iso-prob": 8}
 _AVG_IRR_TEXT_COST = 512
+# --samples N draws N masks of m random bits (2N for --iso-prob), each at
+# about the cost of m + _DRAW_COST bits, and refuses (exit 2) more than
+# MAX_STATS_COST bits in all: N goes up to 75120 at m = 65536 and 976562
+# at m = 4096, about 2 s each.
+_DRAW_COST = 1024
 
 
 class _UsageError(BoolgeoError):
@@ -103,63 +108,84 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="boolgeo", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+class _Commands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when the command is parsed.
 
-    def add_input(p):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("-e", "--expr", help="inline system text")
-        group.add_argument("-f", "--file", dest="path", help="read system from a file")
-        p.add_argument(
-            "--max-vars",
-            type=int,
-            default=None,
-            help=f"variable limit (default 16 for .beq input, none below the hard cap "
-            f"for JSON input; ${MAX_VARS_ENV})",
-        )
+    argparse makes a help formatter for each ``add_argument`` call, so
+    declaring the options of all six commands took 25 times as long as
+    parsing a command line; a run declares those of its own command only.
+    ``choices`` holds every name in order (for "invalid choice" messages)
+    and the top-level help lists each name with its help line; the
+    parser of a command joins ``_name_parser_map`` when it is built."""
 
-    def add_format(p, default="text", choices=("text", "json", "csv")):
-        p.add_argument(
-            "--format",
-            dest="fmt",
-            choices=choices,
-            default=default,
-            help=f"output format (default {default})",
-        )
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.choices = {}
 
-    p = sub.add_parser("orthogonalize", help="reduce a system to orthogonal form")
-    add_input(p)
-    add_format(p, default="json")
+    def add_parser(self, name, *, build, help):
+        self.choices[name] = build
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
 
-    p = sub.add_parser("solve", help="enumerate or count solutions")
-    add_input(p)
-    add_format(p)
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if name not in self._name_parser_map:
+            self.choices[name](super().add_parser(name))
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _input_options(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("-e", "--expr", help="inline system text")
+    group.add_argument("-f", "--file", dest="path", help="read system from a file")
+    p.add_argument(
+        "--max-vars",
+        type=int,
+        default=None,
+        help=f"variable limit (default 16 for .beq input, none below the hard cap "
+        f"for JSON input; ${MAX_VARS_ENV})",
+    )
+
+
+def _format_option(p: argparse.ArgumentParser, default: str = "text") -> None:
+    p.add_argument(
+        "--format",
+        dest="fmt",
+        choices=("text", "json", "csv"),
+        default=default,
+        help=f"output format (default {default})",
+    )
+
+
+def _orthogonalize_options(p: argparse.ArgumentParser) -> None:
+    _input_options(p)
+    _format_option(p, default="json")
+
+
+def _rank_options(p: argparse.ArgumentParser) -> None:
+    """The options of decompose and classify, which solve extends."""
+    _input_options(p)
+    _format_option(p)
     p.add_argument("--rank", type=int, required=True, help="algebra rank r")
+
+
+def _solve_options(p: argparse.ArgumentParser) -> None:
+    _rank_options(p)
     p.add_argument("--limit", type=int, default=None, help="emit at most this many solutions")
     p.add_argument(
         "--count", dest="count_only", action="store_true", help="print the exact solution count only"
     )
     p.add_argument("--z", dest="z_space", action="store_true", help="emit minterm-space points instead")
 
-    p = sub.add_parser("decompose", help="split into irreducible components")
-    add_input(p)
-    add_format(p)
-    p.add_argument("--rank", type=int, required=True, help="algebra rank r")
 
-    p = sub.add_parser("classify", help="coordinate rank, irreducibility, component count")
-    add_input(p)
-    add_format(p)
-    p.add_argument("--rank", type=int, required=True, help="algebra rank r")
-
-    p = sub.add_parser("iso", help="decide whether two systems' solution sets are isomorphic")
+def _iso_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="*", help="system files (two total inputs needed)")
     p.add_argument("-e", "--expr", action="append", default=[], help="inline system text (repeatable)")
     p.add_argument("--max-vars", type=int, default=None)
-    add_format(p)
+    _format_option(p)
 
-    p = sub.add_parser("stats", help="exact averages and probabilities")
-    add_format(p)
+
+def _stats_options(p: argparse.ArgumentParser) -> None:
+    _format_option(p)
     p.add_argument("--avg-irr", nargs=2, metavar=("M", "R"), help="average component count; M may be a comma list")
     p.add_argument("--avg-ir", metavar="M", help="average irreducibility rank; M may be a comma list")
     p.add_argument("--iso-prob", metavar="M", help="isomorphic-pair probability; M may be a comma list")
@@ -167,6 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="add a Monte Carlo estimate from N samples")
     p.add_argument("--seed", type=int, default=0, help="seed for --samples (default 0)")
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the boolgeo command line; a command's options are
+    declared when that command is parsed or asked for ``--help``."""
+    parser = _Parser(prog="boolgeo", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(action=_Commands, dest="command", required=True, metavar="command")
+    sub.add_parser("orthogonalize", build=_orthogonalize_options, help="reduce a system to orthogonal form")
+    sub.add_parser("solve", build=_solve_options, help="enumerate or count solutions")
+    sub.add_parser("decompose", build=_rank_options, help="split into irreducible components")
+    sub.add_parser(
+        "classify", build=_rank_options, help="coordinate rank, irreducibility, component count"
+    )
+    sub.add_parser(
+        "iso", build=_iso_options, help="decide whether two systems' solution sets are isomorphic"
+    )
+    sub.add_parser("stats", build=_stats_options, help="exact averages and probabilities")
     return parser
 
 
@@ -306,22 +348,28 @@ def _cmd_solve(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
     if args.limit is not None:
         total = min(total, args.limit)
     tails, heads = solve.split_atoms(o, rank, z_space=args.z_space, points=total)
-    escape = lambda text: text.replace("{", "{{").replace("}", "}}")  # noqa: E731
-    opening, closing, prefixes = escape(opening), escape(closing), list(map(escape, prefixes))
-    slots = solve.MaskCache(lambda key: f"{prefixes[key[0]]}{{{len(slots)}}}")
-    rows = [opening + between.join(map(slots.__getitem__, enumerate(t))) + closing for t in tails]
-    columns, tail_masks = [c for c, _ in slots], [m for _, m in slots]
-    cells = solve.MaskCache(make)
-    full, rest = divmod(total, len(tails))
-    batch, lead = separator.join(rows), ""
-    for k, head in zip(range(full + (rest > 0)), heads):
-        if k == full:
-            batch = separator.join(rows[:rest])
-        masks = head  # a one-row table places no atom: its slots are the head's cells
-        if len(tails) > 1:
+    cells, lead = solve.MaskCache(make), ""
+    if len(tails) == 1:
+        # A one-row table places no atom, so each head is one point; joining
+        # its cells costs less per cell than filling a template's fields.
+        for _, head in zip(range(total), heads):
+            texts = map(operator.add, prefixes, map(cells.__getitem__, head))
+            out.write(lead + opening + between.join(texts) + closing)
+            lead = separator
+    else:
+        escape = lambda text: text.replace("{", "{{").replace("}", "}}")  # noqa: E731
+        opening, closing, prefixes = escape(opening), escape(closing), list(map(escape, prefixes))
+        slots = solve.MaskCache(lambda key: f"{prefixes[key[0]]}{{{len(slots)}}}")
+        rows = [opening + between.join(map(slots.__getitem__, enumerate(t))) + closing for t in tails]
+        columns, tail_masks = [c for c, _ in slots], [m for _, m in slots]
+        full, rest = divmod(total, len(tails))
+        batch = separator.join(rows)
+        for k, head in zip(range(full + (rest > 0)), heads):
+            if k == full:
+                batch = separator.join(rows[:rest])
             masks = map(operator.or_, map(head.__getitem__, columns), tail_masks)
-        out.write(lead + batch.format(*map(cells.__getitem__, masks)))
-        lead = separator
+            out.write(lead + batch.format(*map(cells.__getitem__, masks)))
+            lead = separator
     out.write(ending)
 
 
@@ -480,6 +528,14 @@ def _cmd_stats(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
             limit = MAX_STATS_COST // (max(r, 1) + _AVG_IRR_TEXT_COST)
         if m > limit:
             raise LimitExceededError(f"--{label} exceeds the limit m <= {limit}")
+        if args.samples:
+            draws = 2 if kind == "iso-prob" else 1
+            # --samples refuses m < 2 (exit 4); max keeps the divisor positive.
+            limit = MAX_STATS_COST // (draws * (max(m, 0) + _DRAW_COST))
+            if args.samples > limit:
+                raise LimitExceededError(
+                    f"--samples {args.samples} for --{label} exceeds the limit N <= {limit}"
+                )
 
     # One entry per result, in the JSON key order; csv reads its columns
     # off the same entries, blank where a key is absent.

@@ -456,3 +456,54 @@ def test_stats_avg_irr_walk_within_budget(m, r, code, out):
     assert invoke(["stats", "--avg-irr", str(m), str(r)])[:2] == (code, out)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"--avg-irr {m} {r} took {elapsed:.2f}s"
+
+
+def samples_limit(kind, m):
+    draws = 2 if kind == "iso-prob" else 1
+    return cli.MAX_STATS_COST // (draws * (m + cli._DRAW_COST))
+
+
+@pytest.mark.parametrize(
+    "flags,kind,m,n",
+    [
+        (["--avg-ir", "65536"], "avg-ir", 65536, samples_limit("avg-ir", 65536) + 1),
+        (["--iso-prob", "16384"], "iso-prob", 16384, samples_limit("iso-prob", 16384) + 1),
+        (["--avg-irr", "4", "2"], "avg-irr", 4, samples_limit("avg-irr", 4) + 1),
+        (["--avg-ir", "4,65536", "--format", "json"], "avg-ir", 65536, samples_limit("avg-ir", 65536) + 1),
+        # 10**8 draws of 65536 bits would run for hours.
+        (["--avg-ir", "65536"], "avg-ir", 65536, 10**8),
+    ],
+)
+def test_stats_samples_past_the_limit_exits_2(flags, kind, m, n):
+    label = f"--{kind} m={m}" + (" r=2" if kind == "avg-irr" else "")
+    start = time.perf_counter()
+    code, out, err = invoke(["stats", *flags, "--samples", str(n)])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == f"error: --samples {n} for {label} exceeds the limit N <= {samples_limit(kind, m)}\n"
+    assert elapsed < 1.0, f"{flags} took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("kind", ["avg-ir", "iso-prob"])
+def test_stats_samples_at_the_limit_are_drawn(kind):
+    # The sampler is replaced, so a run at the limit (about 2 s) is not paid here.
+    calls = []
+
+    def record(kind, m, r, samples, seed):
+        calls.append((kind, m, samples))
+        return 0.5
+
+    n = samples_limit(kind, 64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_empirical", record)
+        code, out, err = invoke(["stats", f"--{kind}", "64", "--samples", str(n), "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert calls == [(kind, 64, n)]
+    assert out.splitlines()[1].endswith(f",{n},0,0.5")
+
+
+def test_stats_samples_of_the_benchmark_census_are_admitted():
+    # Its sample requests draw at most 2100 samples at m <= 1024.
+    for flags in (["--avg-ir", "1024"], ["--iso-prob", "1024"], ["--avg-irr", "1024", "64"]):
+        code, _, err = invoke(["stats", *flags, "--samples", "2100"])
+        assert (code, err) == (0, "")

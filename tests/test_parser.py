@@ -10,7 +10,7 @@ from boolgeo import cli
 
 COMMANDS = ("orthogonalize", "solve", "decompose", "classify", "iso", "stats")
 
-# Rendered at COLUMNS=80.
+# As Python 3.10-3.12 render them at COLUMNS=80.
 HELP = {
     "": """\
 usage: boolgeo [-h] command ...

@@ -354,3 +354,33 @@ def test_solution_masks_keeps_the_reference_order(case):
     assert list(solution_masks(o, rank)) == [
         tuple(value.mask for value in x_from_z(z, names).values) for z in zpoints
     ]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("zeroed", [(), range(0, 4096, 3)])
+def test_cli_solve_z_with_wide_rows(zeroed, fmt):
+    # 2**12 cells per point keep the tail table at one row, so each point is
+    # written by joining its cells.
+    o = OrthogonalSystem.from_indices(12, zeroed)
+    assert len(split_atoms(o, 2, z_space=True, points=7)[0]) == 1
+    check_json_input(o, 2, fmt, True, 7)
+
+
+def test_cli_solve_z_with_wide_rows_past_sys_maxsize_streams():
+    # 65536**5 points, more than islice accepts; the first ones are written at once.
+    cfg = config_from_args(build_parser().parse_args(solve_argv(5, "json", True, None)))
+    out = io.StringIO()
+
+    class Full(Exception):
+        pass
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            out.write(text)
+            if out.tell() > 1_000_000:
+                raise Full
+
+    with pytest.raises(Full):
+        run(cfg, stdin=io.StringIO('{"n": 16, "A": []}'), stdout=Sink(), stderr=io.StringIO())
+    first = '{"cells": [[0, 1, 2, 3, 4]' + ", []" * 65535 + "]}"
+    assert out.getvalue().startswith('{"layout": "lsb-first", "rank": 5, "solutions": [' + first)
