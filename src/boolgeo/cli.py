@@ -18,7 +18,6 @@ import argparse
 import csv
 import decimal
 import io
-import itertools
 import json
 import math
 import operator
@@ -27,7 +26,6 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 from typing import IO, Sequence
 
 from . import geometry, solve, stats
@@ -48,8 +46,7 @@ from .ortho import (  # noqa: F401
     MAX_VARS_ENV,
     OrthogonalSystem,
     check_var_limit,
-    mask_flags,
-    mask_indices,
+    mask_text,
     minterm_labels,
     orthogonalize,
     x_from_z,
@@ -286,12 +283,14 @@ def _emit(fmt: str, out: IO[str], record: dict, text: str) -> None:
 
 def _cmd_orthogonalize(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
     o, _ = _load_ortho(_read_input(args.expr, args.path, stdin), args.max_vars)
+    # The bytes are those of json.dumps(o.to_json_dict()), of csv.writer
+    # rows and of print(o.render_text()).
     if args.fmt == "json":
-        print(json.dumps(o.to_json_dict()), file=out)
+        zeroed = mask_text(o.n, ", ")(o.zeroed_mask)
+        out.write(f'{{"n": {o.n}, "A": [{zeroed}], "layout": "lsb-first"}}\n')
     elif args.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "zeroed_count", "zeroed"])
-        writer.writerow([o.n, o.num_zeroed, " ".join(map(str, o.zeroed))])
+        zeroed = mask_text(o.n, " ")(o.zeroed_mask)
+        out.write(f"n,zeroed_count,zeroed\n{o.n},{o.num_zeroed},{zeroed}\n")
     elif o.num_zeroed:
         print(o.render_text(), file=out)
 
@@ -382,23 +381,10 @@ def _cmd_decompose(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> No
             f"decomposition into {len(parts)} components exceeds the limit "
             f"{MAX_COMPONENTS}"
         )
-    # Each component is written as it is generated, from the forced-zero
-    # mask's index texts: numbers for json/csv, minterm labels for text.
-    # When the output lists at least 2**n indices in all, each text is made
-    # once into a per-run table of every minterm and picked from it by the
-    # mask's bits; otherwise it is made as it is printed.
-    size = o.num_minterms
-    if args.fmt == "text":
-        separator, make = " = 0, ", partial(minterm_labels, n=o.n)
-    else:
-        separator, make = (", " if args.fmt == "json" else " "), partial(map, str)
-    if len(parts) * (size - min(args.rank, size - o.num_zeroed)) >= size:
-        table = list(make(range(size)))
-        texts = (
-            separator.join(itertools.compress(table, mask_flags(m, size))) for m in parts.masks()
-        )
-    else:
-        texts = (separator.join(make(mask_indices(m, size))) for m in parts.masks())
+    # Each component is written as it is generated, from its forced-zero
+    # mask: index numbers for json and csv, minterm labels for text.
+    separator = {"json": ", ", "csv": " "}.get(args.fmt, " = 0, ")
+    texts = map(mask_text(o.n, separator, labels=args.fmt == "text"), parts.masks())
     # The bytes are those of json.dumps of the whole payload, of csv.writer
     # rows and of one print per component.
     if args.fmt == "json":
@@ -455,10 +441,9 @@ def _cmd_iso(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
 # --- stats command ------------------------------------------------------
 
 
-def _require_m_pow(m: int, flag: str) -> int:
+def _require_m_pow(m: int, flag: str) -> None:
     if m < 2 or m & (m - 1):
         raise _UsageError(f"{flag} needs m to be a power of two >= 2, got {m}")
-    return m.bit_length() - 1
 
 
 # Integers of any size stay exact in this context.
@@ -490,9 +475,8 @@ def _exact_text(value: Fraction) -> str:
 def _empirical(kind: str, m: int, r: int | None, samples: int, seed: int) -> float:
     # Every sampled figure depends on a system only through its forced-zero
     # count, so the sampled masks are read as popcounts.
-    m_pow = _require_m_pow(m, "--samples")
     draws = 2 * samples if kind == "iso-prob" else samples
-    zeroed = map(int.bit_count, stats.sample_masks(m_pow, seed, draws))
+    zeroed = map(int.bit_count, stats.sample_masks(m.bit_length() - 1, seed, draws))
     if kind == "iso-prob":
         # Consecutive draws form one pair.
         return sum(map(operator.eq, zeroed, zeroed)) / samples
@@ -536,6 +520,13 @@ def _cmd_stats(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
                 raise LimitExceededError(
                     f"--samples {args.samples} for --{label} exceeds the limit N <= {limit}"
                 )
+    # The power-of-two checks run before any work, in the order the values
+    # would be computed, so that a refused m costs nothing.
+    for kind, m, _ in jobs:
+        if args.exhaustive and kind == "avg-irr":
+            _require_m_pow(m, "--exhaustive")
+        if args.samples:
+            _require_m_pow(m, "--samples")
 
     # One entry per result, in the JSON key order; csv reads its columns
     # off the same entries, blank where a key is absent.
@@ -546,7 +537,7 @@ def _cmd_stats(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
         elif kind == "iso-prob":
             exact = stats.iso_pair_probability(m)
         elif args.exhaustive:
-            exact = stats.avg_irr_exhaustive(_require_m_pow(m, "--exhaustive"), r)
+            exact = stats.avg_irr_exhaustive(m.bit_length() - 1, r)
         else:
             exact = stats.avg_irr_closed(m, r)
         try:

@@ -507,3 +507,29 @@ def test_stats_samples_of_the_benchmark_census_are_admitted():
     for flags in (["--avg-ir", "1024"], ["--iso-prob", "1024"], ["--avg-irr", "1024", "64"]):
         code, _, err = invoke(["stats", *flags, "--samples", "2100"])
         assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv,flag,m",
+    [
+        (["--avg-ir", "70000", "--samples", "10"], "--samples", 70000),
+        (["--iso-prob", "24000", "--samples", "10"], "--samples", 24000),
+        # The first job's exact value would be paid before the second's check.
+        (["--avg-ir", "65536,70000", "--samples", "10"], "--samples", 70000),
+        (["--avg-irr", "16,24", "2", "--exhaustive"], "--exhaustive", 24),
+    ],
+)
+def test_stats_m_not_a_power_of_two_exits_4_before_any_exact_value(argv, flag, m):
+    # The exact values cost about 1.5 s each before their checks moved up.
+    start = time.perf_counter()
+    code, out, err = invoke(["stats", *argv])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (4, "")
+    assert err == f"error: {flag} needs m to be a power of two >= 2, got {m}\n"
+    assert elapsed < 0.5, f"{argv} took {elapsed:.2f}s"
+
+
+def test_stats_limit_error_wins_over_a_power_of_two_error():
+    code, out, err = invoke(["stats", "--avg-ir", "80000", "--samples", "10"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --avg-ir m=80000 exceeds the limit m <= {stats_m_limit('avg-ir')}\n"

@@ -255,3 +255,19 @@ def test_twenty_variable_json_system_within_budget(system_n20, argv):
     else:
         assert json.loads(out)["coordinate_rank"] == (1 << 20) - zeroed_count
     assert elapsed < 5.0, f"{argv[0]} on n=20 took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_twenty_variable_json_system_renders_csv_and_text_within_budget(system_n20, fmt):
+    # About 0.3 s on a 2-vCPU machine; one str() or label per index took 0.5 s.
+    text, zeroed_count = system_n20
+    start = time.perf_counter()
+    code, out, err = _invoke(["orthogonalize", "--format", fmt], text)
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    indices = json.loads(text)["A"]
+    if fmt == "csv":
+        assert out == f"n,zeroed_count,zeroed\n20,{zeroed_count},{' '.join(map(str, indices))}\n"
+    else:
+        assert out == "".join(label + " = 0\n" for label in minterm_labels(indices, 20))
+    assert elapsed < 5.0, f"orthogonalize --format {fmt} on n=20 took {elapsed:.2f}s"
