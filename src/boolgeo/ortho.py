@@ -138,11 +138,9 @@ def mask_text(n: int, sep: str, labels: bool = False) -> Callable[[int], str]:
     of a 2**10-minterm block ends in the same high bits, so the shared part
     goes into the join separator and a block costs one ``str.join``."""
     size = 1 << n
-    if labels and n <= _LABEL_BITS:
-        table = _label_table(n)
+    if size <= (1 << _LABEL_BITS if labels else 1000):
+        table = _label_table(n) if labels else _DECIMALS
         return lambda mask: sep.join(compress(table, mask_flags(mask, size)))
-    if not labels and size <= 1000:
-        return lambda mask: sep.join(compress(_DECIMALS, mask_flags(mask, size)))
     # One (table, separator, head, tail) per block: a block's text is
     # head + separator.join(picked entries) + tail.
     if labels:
