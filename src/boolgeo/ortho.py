@@ -225,7 +225,7 @@ class OrthogonalSystem:
     def from_indices(cls, n: int, indices: Iterable[MintermIndex]) -> "OrthogonalSystem":
         indices = tuple(indices)
         for alpha in indices:
-            if not 0 <= alpha < (1 << n):
+            if not (alpha >= 0 and alpha.bit_length() <= n):
                 raise ValueError(f"minterm index {alpha} out of range for n={n}")
         return cls(n, _mask_from_indices(n, indices))
 
@@ -296,7 +296,7 @@ def _first_bad_index(n: int, indices: list) -> None:
     for alpha in indices:
         if not isinstance(alpha, int) or isinstance(alpha, bool):
             raise ParseError(f"minterm index {alpha!r} is not an integer")
-        if not 0 <= alpha < (1 << n):
+        if not (alpha >= 0 and alpha.bit_length() <= n):
             raise ParseError(f"minterm index {alpha} out of range for n={n}")
         if alpha in seen:
             raise ParseError(f"duplicate minterm index {alpha}")

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 from typing import Iterator
 
@@ -23,12 +23,18 @@ from .ortho import OrthogonalSystem
 # Exact rationals are plain stdlib fractions: reduced, positive denominator.
 ExactRational = Fraction
 
-# Exhaustive averaging enumerates 2**(2**m_pow) forced-zero sets.
+# Exhaustive averaging keeps one popcount byte per forced-zero set, a
+# table of 2**(2**m_pow) bytes: 64 KiB at m_pow = 4, while m_pow = 5
+# would need 4 GiB.
 MAX_EXHAUSTIVE_VARS = 4
 # Sampling draws 2**m_pow random bits per system.
 MAX_SAMPLING_VARS = 16
 
 RNG_ALGORITHM = "mt19937"
+
+# Byte b -> b + 1: applied to a popcount table, it gives the popcounts of
+# the same masks with one more bit set.
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 def _check_m(m: int) -> None:
@@ -78,16 +84,22 @@ def avg_irr_exhaustive(m_pow: int, r: int) -> Fraction:
     forced-zero subset of the 2**m_pow minterm indices and take the mean
     of the per-system component count.  Must equal
     ``avg_irr_closed(2**m_pow, r)``.
+
+    Every mask gets its own byte in one popcount table, built by
+    doubling: the masks with bit k set are those below 2**k plus that
+    bit, so their popcounts are the table so far plus one.  A system's
+    component count depends only on its forced-zero count z, and
+    ``table.count(z)`` tallies the systems with that count.
     """
     _check_m_pow(m_pow, MAX_EXHAUSTIVE_VARS, "exhaustive averaging")
     m = 1 << m_pow
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
-    # A system's component count depends only on its forced-zero count,
-    # so every mask is visited once and tallied by popcount.
-    tally = Counter(map(int.bit_count, range(1 << m)))
+    table = b"\0"
+    for _ in range(m):
+        table += table.translate(_PLUS_ONE)
     total = sum(
-        systems * component_count(m - zeroed, r) for zeroed, systems in tally.items()
+        table.count(zeroed) * component_count(m - zeroed, r) for zeroed in range(m + 1)
     )
     return Fraction(total, 1 << m)
 
@@ -160,11 +172,11 @@ def sample_systems(m_pow: int, seed: int, count: int) -> Iterator[OrthogonalSyst
 
 def sample_masks(m_pow: int, seed: int, count: int) -> Iterator[int]:
     """The forced-zero masks of :func:`sample_systems`, from the same
-    random draws, without building the systems."""
+    random draws, without building the systems: ``count`` draws of
+    2**m_pow bits from ``random.Random(seed)``, made lazily by ``map``
+    with no Python frame per draw.  The arguments are checked when this
+    is called, not on the first draw."""
     _check_m_pow(m_pow, MAX_SAMPLING_VARS, "sampling")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    rng = random.Random(seed)
-    m = 1 << m_pow
-    for _ in range(count):
-        yield rng.getrandbits(m)
+    return map(random.Random(seed).getrandbits, repeat(1 << m_pow, count))

@@ -10,12 +10,14 @@ paths must agree with them value for value and byte for byte.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import json
 import random
 import time
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, isqrt
@@ -71,6 +73,24 @@ def ref_avg_irr_exhaustive(m_pow, r):
     m = 1 << m_pow
     total = sum(irr_count(OrthogonalSystem(m_pow, mask), r) for mask in range(1 << m))
     return Fraction(total, 1 << m)
+
+
+@functools.cache
+def ref_zeroed_tally(m_pow):
+    """How many of the 2**(2**m_pow) forced-zero masks have each popcount:
+    the tally ``avg_irr_exhaustive`` once took, one ``int.bit_count`` per
+    mask.  Cached, because m_pow = 4 walks 65536 masks."""
+    return Counter(map(int.bit_count, range(1 << (1 << m_pow))))
+
+
+def ref_avg_irr_tallied(m_pow, r):
+    # One system per popcount stands for every mask with that popcount.
+    tally = ref_zeroed_tally(m_pow)
+    total = sum(
+        systems * irr_count(OrthogonalSystem(m_pow, (1 << zeroed) - 1), r)
+        for zeroed, systems in tally.items()
+    )
+    return Fraction(total, 1 << (1 << m_pow))
 
 
 def ref_empirical(kind, m, r, samples, seed):
@@ -177,6 +197,12 @@ def test_iso_pair_probability_matches_the_comb_sum(m):
 def test_avg_irr_exhaustive_matches_per_system_enumeration(m_pow, r):
     # Every (m_pow, r) pair of m_pow 1-3: 14 cases, each over all masks.
     assert avg_irr_exhaustive(m_pow, r) == ref_avg_irr_exhaustive(m_pow, r)
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_avg_irr_exhaustive_matches_the_popcount_tally_at_m_16(r):
+    # m_pow = 4 is the size stats --exhaustive is run at; every rank.
+    assert avg_irr_exhaustive(4, r) == ref_avg_irr_tallied(4, r)
 
 
 # --- Monte Carlo ---------------------------------------------------------------

@@ -373,6 +373,12 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_json_variable_count_past_int_range_is_2(self):
+        text = json.dumps({"n": 10**20, "A": [5]})
+        code, out, err = invoke(["classify", "--rank", "2", "-e", text])
+        assert (code, out) == (2, "")
+        assert "hard representation cap" in err
+
     def test_env_limit(self, monkeypatch):
         monkeypatch.setenv("BOOLGEO_MAX_VARS", "1")
         code, _, _ = invoke(["orthogonalize", "-e", "x1 = x2"])

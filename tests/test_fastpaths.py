@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolgeo import OrthogonalSystem, ParseError, SystemMismatchError
+from boolgeo import LimitExceededError, OrthogonalSystem, ParseError, SystemMismatchError
 from boolgeo.algebra import Element
 from boolgeo.cli import build_parser, config_from_args, run
 from boolgeo.ortho import ZPoint, format_minterm, minterm_labels
@@ -194,6 +194,22 @@ def test_from_json_dict_error_after_valid_entries(indices, message):
 def test_from_json_dict_checks_entries_before_the_variable_cap():
     with pytest.raises(ParseError, match="duplicate"):
         OrthogonalSystem.from_json_dict({"n": 40, "A": [5, 5]})
+
+
+def test_a_variable_count_past_int_range_reaches_the_cap_without_building_2_to_the_n():
+    # The index range is read off bit lengths, so 1 << n is never built:
+    # at this n it would not fit in memory (OverflowError).
+    n = 10**20
+    with pytest.raises(LimitExceededError):
+        OrthogonalSystem.from_indices(n, [5])
+    with pytest.raises(ValueError, match=f"minterm index -1 out of range for n={n}"):
+        OrthogonalSystem.from_indices(n, [5, -1])
+    with pytest.raises(LimitExceededError):
+        OrthogonalSystem.from_json_dict({"n": n, "A": [5]})
+    with pytest.raises(ParseError, match="duplicate minterm index 5"):
+        OrthogonalSystem.from_json_dict({"n": n, "A": [5, 5]})
+    with pytest.raises(ParseError, match=f"minterm index -1 out of range for n={n}"):
+        OrthogonalSystem.from_json_dict({"n": n, "A": [-1]})
 
 
 # --- zero violations ------------------------------------------------------------------

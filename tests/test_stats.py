@@ -1,6 +1,7 @@
 """Exact counting formulas, asymptotics, and the sampling model."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, pi, sqrt
 
@@ -20,6 +21,7 @@ from boolgeo import (
     sample_ortho,
     sample_systems,
 )
+from boolgeo.stats import sample_masks
 
 
 class TestAvgIrrClosed:
@@ -194,6 +196,21 @@ class TestSampling:
         rate = hits / n
         sigma = sqrt(p * (1 - p) / n)
         assert abs(rate - p) <= 3 * sigma
+
+    @pytest.mark.parametrize("m_pow, seed, count", [(1, 0, 0), (2, 7, 50), (4, 5, 20), (16, 3, 3)])
+    def test_sample_masks_are_the_seeded_draws_in_order(self, m_pow, seed, count):
+        rng = random.Random(seed)
+        draws = [rng.getrandbits(1 << m_pow) for _ in range(count)]
+        assert list(sample_masks(m_pow, seed, count)) == draws
+
+    def test_sample_masks_checks_its_arguments_when_called(self):
+        # No next(): the checks do not wait for the first draw.
+        with pytest.raises(ValueError):
+            sample_masks(0, 1, 5)
+        with pytest.raises(LimitExceededError):
+            sample_masks(17, 1, 5)
+        with pytest.raises(ValueError):
+            sample_masks(2, 1, -1)
 
     def test_limits(self):
         with pytest.raises(ValueError):
