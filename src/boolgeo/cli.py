@@ -339,10 +339,13 @@ def _cmd_solve(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
         make = lambda mask: str(Element(mask, rank))  # noqa: E731
         prefixes = [h + "=" for h in headers]
 
-    # One str.format template renders a batch: every row of the tail table
-    # under one head.  A slot is keyed by column and tail mask, so a head
-    # fills each once from a per-run cache of cell texts; the last batch
-    # under --limit is cut to its first rows.
+    # A batch is every row of the tail table under one head, written by one
+    # str.join over a fixed layout: literal texts with an empty slot between
+    # each two.  Every row has the same literals, so the layout is built by
+    # list repetition.  A slot value is keyed by column and tail mask; a
+    # head looks each distinct one up once in a per-run cache of cell texts
+    # and spreads them into the slots with one itemgetter.  The last batch
+    # under --limit gets a layout of its first rows.
     total = solve.count_solutions(o, rank)
     if args.limit is not None:
         total = min(total, args.limit)
@@ -350,24 +353,35 @@ def _cmd_solve(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
     cells, lead = solve.MaskCache(make), ""
     if len(tails) == 1:
         # A one-row table places no atom, so each head is one point; joining
-        # its cells costs less per cell than filling a template's fields.
+        # its cells is cheaper than filling a layout.
         for _, head in zip(range(total), heads):
             texts = map(operator.add, prefixes, map(cells.__getitem__, head))
             out.write(lead + opening + between.join(texts) + closing)
             lead = separator
     else:
-        escape = lambda text: text.replace("{", "{{").replace("}", "}}")  # noqa: E731
-        opening, closing, prefixes = escape(opening), escape(closing), list(map(escape, prefixes))
-        slots = solve.MaskCache(lambda key: f"{prefixes[key[0]]}{{{len(slots)}}}")
-        rows = [opening + between.join(map(slots.__getitem__, enumerate(t))) + closing for t in tails]
+        slots = solve.MaskCache(lambda key: len(slots))
+        fields = [slots[key] for tail in tails for key in enumerate(tail)]
         columns, tail_masks = [c for c, _ in slots], [m for _, m in slots]
+        row = [between + prefix for prefix in prefixes[1:]]
+        row.append(closing + separator + opening + prefixes[0])
+
+        def layout(rows):
+            parts = [""] * (2 * len(row) * rows + 1)
+            parts[::2] = [opening + prefixes[0], *row * rows]
+            parts[-1] = closing
+            picked = fields[: len(row) * rows]
+            if len(picked) == 1:  # itemgetter of one index returns no tuple
+                return parts, lambda texts: (texts[picked[0]],)
+            return parts, operator.itemgetter(*picked)
+
         full, rest = divmod(total, len(tails))
-        batch = separator.join(rows)
+        parts, pick = layout(len(tails))
         for k, head in zip(range(full + (rest > 0)), heads):
             if k == full:
-                batch = separator.join(rows[:rest])
+                parts, pick = layout(rest)
             masks = map(operator.or_, map(head.__getitem__, columns), tail_masks)
-            out.write(lead + batch.format(*map(cells.__getitem__, masks)))
+            parts[1::2] = pick(list(map(cells.__getitem__, masks)))
+            out.write(lead + "".join(parts))
             lead = separator
     out.write(ending)
 

@@ -74,9 +74,14 @@ def check_var_limit(n: int, max_vars: int | None = None) -> None:
 
 
 def index_to_bits(alpha: MintermIndex, n: int) -> tuple[int, ...]:
-    """The exponent tuple (a_1, ..., a_n) encoded by ``alpha``."""
-    if not 0 <= alpha < (1 << n):
+    """The exponent tuple (a_1, ..., a_n) encoded by ``alpha``, for ``n``
+    up to HARD_MAX_VARS."""
+    if not (alpha >= 0 and alpha.bit_length() <= n):
         raise ValueError(f"minterm index {alpha} out of range for n={n}")
+    if n > HARD_MAX_VARS:
+        raise LimitExceededError(
+            f"{n} variables exceed the hard representation cap ({HARD_MAX_VARS})"
+        )
     return tuple((alpha >> i) & 1 for i in range(n))
 
 

@@ -58,6 +58,14 @@ class TestMintermIndexing:
             index_to_bits(4, 2)
         with pytest.raises(ValueError):
             bits_to_index((0, 2))
+        # Range is read from bit lengths, and a huge n is refused before
+        # a tuple of n bits is built.
+        with pytest.raises(ValueError, match="out of range"):
+            index_to_bits(-1, 10**20)
+        with pytest.raises(LimitExceededError):
+            index_to_bits(5, 10**20)
+        with pytest.raises(LimitExceededError):
+            format_minterm(5, 10**20)
 
 
 class TestTruthTable:

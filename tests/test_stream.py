@@ -230,7 +230,8 @@ def test_sixteen_variable_tautology_streams_lazily(argv, points):
 # --- batch edges -------------------------------------------------------------------------
 #
 # solve renders one batch, every row of the tail table under one head, per
-# str.format call, and cuts the last batch to the rows a --limit leaves.
+# str.join over a fixed layout of literals and slots, and cuts the last
+# batch to the rows a --limit leaves.
 
 EDGES = settings(max_examples=25, deadline=None)
 FORMATS = ["text", "csv", "json"]
@@ -310,6 +311,16 @@ def test_cli_solve_single_survivor(rank, z_space, fmt):
         assert len(tails) == 1
         for limit in (None, 0, 1, 2):
             check_json_input(o, rank, fmt, z_space, limit)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("rank,limit", [(2, 3), (3, 5), (3, None)])
+def test_cli_solve_one_field_batches(rank, limit, fmt):
+    # The 1-variable tautology has tail rows of one column: at rank 2 the
+    # table holds 2 rows, so --limit 3 leaves a last batch of one field.
+    o = OrthogonalSystem(1, 0)
+    assert len(split_atoms(o, rank, points=limit)[0]) > 1
+    check_json_input(o, rank, fmt, False, limit)
 
 
 @FAST
