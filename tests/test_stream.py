@@ -316,8 +316,9 @@ def test_cli_solve_single_survivor(rank, z_space, fmt):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("rank,limit", [(2, 3), (3, 5), (3, None)])
 def test_cli_solve_one_field_batches(rank, limit, fmt):
-    # The 1-variable tautology has tail rows of one column: at rank 2 the
-    # table holds 2 rows, so --limit 3 leaves a last batch of one field.
+    # The 1-variable tautology has tail rows of one column: rank 2 with
+    # --limit 3 (2 rows) and rank 3 with --limit 5 (4 rows) leave a last
+    # batch of one field.
     o = OrthogonalSystem(1, 0)
     assert len(split_atoms(o, rank, points=limit)[0]) > 1
     check_json_input(o, rank, fmt, False, limit)
