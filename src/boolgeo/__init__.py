@@ -9,84 +9,91 @@ enumerate or count solutions over an algebra of any rank
 (:mod:`boolgeo.stats`).
 """
 
-from .algebra import (
-    MAX_RANK,
-    Element,
-    atoms,
-    complement,
-    elements,
-    format_element,
-    join,
-    meet,
-    parse_element,
-)
-from .errors import (
-    BoolgeoError,
-    InconsistentSystemError,
-    LimitExceededError,
-    MissingVariableError,
-    ParseError,
-    RankMismatchError,
-    SystemMismatchError,
-)
-from .geometry import (
-    Decomposition,
-    are_isomorphic,
-    coordinate_atoms,
-    coordinate_rank,
-    decompose,
-    irr_count,
-    irreducibility_rank,
-    is_irreducible,
-)
-from .ortho import (
-    DEFAULT_MAX_VARS,
-    MintermIndex,
-    OrthogonalSystem,
-    XPoint,
-    ZPoint,
-    bits_to_index,
-    format_minterm,
-    index_to_bits,
-    orthogonalize,
-    truth_table,
-    x_from_z,
-    z_from_x,
-)
-from .solve import (
-    count_solutions,
-    eval_term,
-    is_consistent,
-    satisfies,
-    solutions_x,
-    solutions_z,
-)
-from .stats import (
-    ExactRational,
-    asymptotic_irr,
-    avg_ir_rank,
-    avg_irr_closed,
-    avg_irr_exhaustive,
-    iso_pair_asymptotic,
-    iso_pair_probability,
-    sample_ortho,
-    sample_systems,
-)
-from .syntax import (
-    Complement,
-    Const,
-    Equation,
-    Join,
-    Meet,
-    System,
-    Term,
-    Var,
-    format_equation,
-    format_system,
-    format_term,
-    parse_system,
-    parse_term,
-)
+# The submodule that defines each public name.  A name is imported from it
+# when first read (PEP 562), so that ``import boolgeo`` loads no submodule
+# and each command of ``boolgeo.cli`` loads only the modules it uses.
+_SOURCES = {
+    "algebra": (
+        "MAX_RANK",
+        "Element",
+        "atoms",
+        "complement",
+        "elements",
+        "format_element",
+        "join",
+        "meet",
+        "parse_element",
+    ),
+    "errors": (
+        "BoolgeoError",
+        "InconsistentSystemError",
+        "LimitExceededError",
+        "MissingVariableError",
+        "ParseError",
+        "RankMismatchError",
+        "SystemMismatchError",
+    ),
+    "geometry": (
+        "Decomposition",
+        "are_isomorphic",
+        "coordinate_atoms",
+        "coordinate_rank",
+        "decompose",
+        "irr_count",
+        "irreducibility_rank",
+        "is_irreducible",
+    ),
+    "ortho": (
+        "DEFAULT_MAX_VARS",
+        "MintermIndex",
+        "OrthogonalSystem",
+        "XPoint",
+        "ZPoint",
+        "bits_to_index",
+        "format_minterm",
+        "index_to_bits",
+        "orthogonalize",
+        "truth_table",
+        "x_from_z",
+        "z_from_x",
+    ),
+    "solve": (
+        "count_solutions",
+        "eval_term",
+        "is_consistent",
+        "satisfies",
+        "solutions_x",
+        "solutions_z",
+    ),
+    "stats": (
+        "ExactRational",
+        "asymptotic_irr",
+        "avg_ir_rank",
+        "avg_irr_closed",
+        "avg_irr_exhaustive",
+        "iso_pair_asymptotic",
+        "iso_pair_probability",
+        "sample_ortho",
+        "sample_systems",
+    ),
+    "syntax": (
+        "Complement",
+        "Const",
+        "Equation",
+        "Join",
+        "Meet",
+        "System",
+        "Term",
+        "Var",
+        "format_equation",
+        "format_system",
+        "format_term",
+        "parse_system",
+        "parse_term",
+    ),
+}
+_SOURCE = {name: module for module, names in _SOURCES.items() for name in names}
+_SUBMODULES = {*_SOURCES, "cli"}
 
 __version__ = "0.1.0"
 
@@ -156,3 +163,19 @@ __all__ = [
     "x_from_z",
     "z_from_x",
 ]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

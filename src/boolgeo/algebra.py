@@ -8,9 +8,9 @@ share freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+from ._record import Record, setfield
 from .errors import RankMismatchError
 
 # One machine word of atoms; larger ranks have no desk-scale use.
@@ -27,8 +27,7 @@ def check_rank(rank: int) -> None:
         raise ValueError(f"rank {rank} exceeds the supported maximum {MAX_RANK}")
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """A member of the boolean algebra of rank ``rank``: a set of atoms.
 
     ``mask`` holds the atom set, bit i standing for atom i.
@@ -38,8 +37,12 @@ class Element:
     '{0,1,2}'
     """
 
-    mask: int
-    rank: int
+    __slots__ = ("mask", "rank")
+
+    def __init__(self, mask: int, rank: int):
+        setfield(self, "mask", mask)
+        setfield(self, "rank", rank)
+        self.__post_init__()
 
     def __post_init__(self):
         check_rank(self.rank)

@@ -9,26 +9,20 @@ either as ``.beq`` equation text or as orthogonal-system JSON
 
 Exit codes: 0 success, 1 parse error, 2 limit exceeded, 3 inconsistent
 system where consistency is required, 4 bad arguments; ``_EXIT_CODES``
-maps each error class to its code.
+maps each error class to its code.  A reader that closes standard output
+early (``| head``) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import decimal
 import io
-import json
 import math
 import operator
 import os
 import sys
-from collections import Counter
-from decimal import Decimal
-from fractions import Fraction
-from typing import IO, Sequence
 
-from . import geometry, solve, stats
+from . import geometry, solve
 from .algebra import Element, check_rank
 from .errors import (
     BoolgeoError,
@@ -53,6 +47,15 @@ from .ortho import (  # noqa: F401
 )
 from .syntax import parse_system
 
+# The modules that only some commands use (json, csv, decimal, fractions,
+# collections and boolgeo.stats) are imported where they are used, so that
+# starting the command line imports none of them.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+    from decimal import Decimal
+    from fractions import Fraction
+    from typing import IO
 
 # decompose refuses (exit 2) to write more components than this; the count,
 # C(s, r) for s surviving minterms, is known before any component is built.
@@ -253,6 +256,8 @@ def _load_ortho(text: str, max_vars: int | None):
     JSON input is held to an explicit limit (``--max-vars`` or
     $BOOLGEO_MAX_VARS) and otherwise only to the hard cap."""
     if text.lstrip().startswith("{"):
+        import json
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -272,8 +277,12 @@ def _emit(fmt: str, out: IO[str], record: dict, text: str) -> None:
     """Writes one record: as JSON, as a csv header of its keys over a row
     of its values, or as the given text."""
     if fmt == "json":
+        import json
+
         print(json.dumps(record), file=out)
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(record)
         writer.writerow(record.values())
@@ -319,6 +328,8 @@ def _cmd_solve(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
     opening, closing, between, separator, ending = "", "\n", " ", "", ""
     prefixes = [""] * len(headers)
     if args.fmt == "json":
+        import json
+
         make = lambda mask: json.dumps(list(Element(mask, rank).atoms()))  # noqa: E731
         opening, closing, between, separator, ending = "{", "}", ", ", ", ", "]}\n"
         if args.z_space:
@@ -327,6 +338,8 @@ def _cmd_solve(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
             prefixes = [json.dumps(h) + ": " for h in headers]
         out.write(f'{{"layout": "lsb-first", "rank": {rank}, "solutions": [')
     elif args.fmt == "csv":
+        import csv
+
         csv.writer(out, lineterminator="\n").writerow(headers)
         between = ","
 
@@ -460,19 +473,18 @@ def _require_m_pow(m: int, flag: str) -> None:
         raise _UsageError(f"{flag} needs m to be a power of two >= 2, got {m}")
 
 
-# Integers of any size stay exact in this context.
-_EXACT_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-
-
 def _decimal(n: int) -> Decimal:
     """``Decimal(n)``, built from the halves of n's bits when n is large.
     ``Decimal(int)`` takes time quadratic in the digits, while libmpdec
     multiplies big numbers in subquadratic time: a 10**6-bit integer
     converts in 1.7 s one way and 0.14 s this way (2-vCPU VM)."""
+    import decimal
+
     k = n.bit_length() // 2
     if k < 1 << 13:
-        return Decimal(n)
-    ctx = _EXACT_CONTEXT
+        return decimal.Decimal(n)
+    # Integers of any size stay exact in this context.
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
     high = ctx.multiply(_decimal(n >> k), ctx.power(2, k))
     return ctx.add(high, _decimal(n & ((1 << k) - 1)))
 
@@ -487,6 +499,10 @@ def _exact_text(value: Fraction) -> str:
 
 
 def _empirical(kind: str, m: int, r: int | None, samples: int, seed: int) -> float:
+    from collections import Counter
+
+    from . import stats
+
     # Every sampled figure depends on a system only through its forced-zero
     # count, so the sampled masks are read as popcounts.
     draws = 2 * samples if kind == "iso-prob" else samples
@@ -506,6 +522,8 @@ def _empirical(kind: str, m: int, r: int | None, samples: int, seed: int) -> flo
 
 
 def _cmd_stats(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
+    from . import stats
+
     if args.avg_irr is None and args.avg_ir is None and args.iso_prob is None:
         raise _UsageError("stats needs at least one of --avg-irr, --avg-ir, --iso-prob")
     if args.exhaustive and args.avg_irr is None:
@@ -571,8 +589,12 @@ def _cmd_stats(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
         entries.append(entry)
 
     if args.fmt == "json":
+        import json
+
         print(json.dumps({"results": entries}), file=out)
     elif args.fmt == "csv":
+        import csv
+
         columns = ["kind", "m", "r", "exact", "approx", "samples", "seed", "empirical"]
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
@@ -606,13 +628,16 @@ def run(
     stdout: IO[str] | None = None,
     stderr: IO[str] | None = None,
 ) -> int:
-    """Execute one configured command; returns the process exit code."""
+    """Execute one configured command; returns the process exit code.  A
+    BrokenPipeError from writing ``stdout`` is raised, not reported."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
         _COMMANDS[args.command](args, stdin, stdout)
         return 0
+    except BrokenPipeError:
+        raise  # the reader of stdout stopped reading: main ends quietly
     except _REPORTED as exc:
         print(f"error: {exc}", file=stderr)
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
@@ -625,7 +650,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    return run(args)
+    code = 0
+    try:
+        code = run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader chose to stop, as `| head` does: that is no error.  Point
+        # stdout at the null device so that the interpreter's final flush of
+        # what is still buffered raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import partial
 from math import comb
-from typing import Iterator
 
 from .algebra import check_rank
 from .errors import InconsistentSystemError, SystemMismatchError

@@ -16,11 +16,11 @@ library, the JSON wire format and the CLI.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from itertools import compress, product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record, setfield
 from .algebra import Element
 from .errors import (
     LimitExceededError,
@@ -126,9 +126,12 @@ def _label_table(width: int, tail: str = ")") -> tuple[str, ...]:
     return tuple("z_(" + word + tail for word in _bit_words(width))
 
 
-# Index texts below 1000, plain and zero-padded to three digits.
-_DECIMALS = tuple(map(str, range(1000)))
-_PADDED = tuple(f"{i:03d}" for i in range(1000))
+@lru_cache(maxsize=None)
+def _decimals(digits: int) -> tuple[str, ...]:
+    """The texts of the indices below 1000, zero-padded to ``digits``."""
+    return tuple(str(i).zfill(digits) for i in range(1000))
+
+
 _LABEL_BITS = 10
 
 
@@ -144,7 +147,7 @@ def mask_text(n: int, sep: str, labels: bool = False) -> Callable[[int], str]:
     goes into the join separator and a block costs one ``str.join``."""
     size = 1 << n
     if size <= (1 << _LABEL_BITS if labels else 1000):
-        table = _label_table(n) if labels else _DECIMALS
+        table = _label_table(n) if labels else _decimals(1)
         return lambda mask: sep.join(compress(table, mask_flags(mask, size)))
     # One (table, separator, head, tail) per block: a block's text is
     # head + separator.join(picked entries) + tail.
@@ -153,8 +156,9 @@ def mask_text(n: int, sep: str, labels: bool = False) -> Callable[[int], str]:
         blocks = [(heads, f",{w})" + sep, "", f",{w})") for w in _bit_words(n - _LABEL_BITS)]
     else:
         step = 1000
-        blocks = [(_DECIMALS, sep, "", "")]
-        blocks += [(_PADDED, sep + str(k), str(k), "") for k in range(1, -(-size // step))]
+        blocks = [(_decimals(1), sep, "", "")]
+        padded = _decimals(3)
+        blocks += [(padded, sep + str(k), str(k), "") for k in range(1, -(-size // step))]
 
     def render(mask: int) -> str:
         flags = mask_flags(mask, size)
@@ -203,8 +207,7 @@ def mask_indices(mask: int, size: int) -> Iterator[MintermIndex]:
     return compress(range(size), mask_flags(mask, size))
 
 
-@dataclass(frozen=True)
-class OrthogonalSystem:
+class OrthogonalSystem(Record):
     """The canonical form of a system: variable count ``n`` plus the set
     of forced-zero minterm indices, stored as a 2**n-bit mask.
 
@@ -212,8 +215,12 @@ class OrthogonalSystem:
     cover equation (their join equals 1) are implicit and never stored.
     """
 
-    n: int
-    zeroed_mask: int
+    __slots__ = ("n", "zeroed_mask")
+
+    def __init__(self, n: int, zeroed_mask: int):
+        setfield(self, "n", n)
+        setfield(self, "zeroed_mask", zeroed_mask)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and 1 <= self.n <= HARD_MAX_VARS):
@@ -308,8 +315,7 @@ def _first_bad_index(n: int, indices: list) -> None:
         seen.add(alpha)
 
 
-@dataclass(frozen=True)
-class ZPoint:
+class ZPoint(Record):
     """An assignment of algebra elements to all 2**n minterm variables.
 
     The structural identities (pairwise disjointness, cover) are not
@@ -317,8 +323,12 @@ class ZPoint:
     represented; use :meth:`is_orthogonal` to test them.
     """
 
-    n: int
-    cells: tuple[Element, ...]
+    __slots__ = ("n", "cells")
+
+    def __init__(self, n: int, cells: tuple[Element, ...]):
+        setfield(self, "n", n)
+        setfield(self, "cells", cells)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.cells) != (1 << self.n):
@@ -369,13 +379,16 @@ class ZPoint:
         return " ".join(f"{label}={cell}" for label, cell in zip(labels, self.cells))
 
 
-@dataclass(frozen=True)
-class XPoint:
+class XPoint(Record):
     """An assignment of algebra elements to the system's variables,
     in variable order."""
 
-    names: tuple[str, ...]
-    values: tuple[Element, ...]
+    __slots__ = ("names", "values")
+
+    def __init__(self, names: tuple[str, ...], values: tuple[Element, ...]):
+        setfield(self, "names", names)
+        setfield(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.names) != len(self.values):

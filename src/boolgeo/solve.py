@@ -10,8 +10,8 @@ minterms over rank r are therefore the s**r atom assignments.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator, Mapping
 from operator import or_
-from typing import Callable, Iterator, Mapping
 
 from .algebra import Element, check_rank
 from .errors import MissingVariableError, RankMismatchError

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import repeat
 from math import comb
-from typing import Iterator
 
 from .errors import LimitExceededError
 from .geometry import component_count

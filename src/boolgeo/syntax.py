@@ -22,10 +22,10 @@ Terms nest at most :data:`MAX_TERM_DEPTH` levels deep; deeper input is a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
+from ._record import Record, restore, setfield
 from .errors import ParseError
 
 
@@ -38,45 +38,56 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
+class Var(Term, Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Const(Term):
-    value: bool
+class Const(Term, Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Join(Term):
-    left: Term
-    right: Term
+class Join(Term, Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Meet(Term):
-    left: Term
-    right: Term
+class Meet(Term, Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Complement(Term):
-    term: Term
+class Complement(Term, Record):
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        setfield(self, "term", term)
 
 
 ZERO = Const(False)
 ONE = Const(True)
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
+class Equation(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, init=False)
-class System:
+class System(Record):
     """An ordered variable list plus a list of equations over it.
 
     Declared variables may go unused by the equations; they still count
@@ -85,8 +96,8 @@ class System:
     compare; ``equations``, the Term AST, is built from them when first read.
     """
 
-    variables: tuple[str, ...]
-    programs: tuple[tuple[tuple, tuple], ...]
+    # The instance dict holds the cached equations.
+    __slots__ = ("variables", "programs", "__dict__")
 
     def __init__(self, variables, equations):
         variables, equations = tuple(variables), tuple(equations)
@@ -99,13 +110,13 @@ class System:
         for name in _names(chain.from_iterable(chain.from_iterable(programs))):
             if name not in declared:
                 raise ValueError(f"equation uses undeclared variable {name!r}")
-        self.__dict__.update(variables=variables, programs=programs, equations=equations)
+        setfield(self, "variables", variables)
+        setfield(self, "programs", programs)
+        self.__dict__["equations"] = equations
 
     @classmethod
     def _from_programs(cls, variables, programs) -> "System":
-        self = object.__new__(cls)
-        self.__dict__.update(variables=variables, programs=programs)
-        return self
+        return restore(cls, (variables, programs))
 
     @cached_property
     def equations(self) -> tuple[Equation, ...]:
