@@ -559,3 +559,60 @@ def test_stats_limit_error_wins_over_a_power_of_two_error():
     code, out, err = invoke(["stats", "--avg-ir", "80000", "--samples", "10"])
     assert (code, out) == (2, "")
     assert err == f"error: --avg-ir m=80000 exceeds the limit m <= {stats_m_limit('avg-ir')}\n"
+
+
+# --- decompositions at census sizes, group by group ------------------------------------
+
+
+def planted(n, survivors):
+    size = 1 << n
+    return OrthogonalSystem(n, ((1 << size) - 1) ^ sum(1 << alpha for alpha in survivors))
+
+
+def sampled(n, s, seed):
+    return planted(n, random.Random(seed).sample(range(1 << n), s))
+
+
+# (system, rank): C(s, r) from 105 to 2380.  The census shapes; forced zeros
+# all above or all below the survivors, so that the head or the tail region
+# of a component holds no forced zero; no forced zeros at all; and 2048- and
+# 4096-minterm systems, whose tail table is held to a few entries.
+SPLIT_CASES = {
+    "census-4-12-4": (sampled(4, 12, 1), 4),
+    "census-4-14-5": (sampled(4, 14, 2), 5),
+    "census-4-13-3": (sampled(4, 13, 3), 3),
+    "census-4-15-2": (sampled(4, 15, 4), 2),
+    "census-5-16-3": (sampled(5, 16, 5), 3),
+    "census-5-18-2": (sampled(5, 18, 6), 2),
+    "census-5-17-4": (sampled(5, 17, 7), 4),
+    "zeros-above-4-12-8": (planted(4, range(12)), 8),
+    "zeros-above-5-14-9": (planted(5, range(14)), 9),
+    "zeros-below-4-12-8": (planted(4, range(4, 16)), 8),
+    "zeros-below-5-13-7": (planted(5, range(19, 32)), 7),
+    "no-zeros-4-r3": (OrthogonalSystem(4, 0), 3),
+    "no-zeros-4-r12": (OrthogonalSystem(4, 0), 12),
+    "n11-16-14": (sampled(11, 16, 8), 14),
+    "n12-15-13": (sampled(12, 15, 9), 13),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES)
+def test_decompose_bytes_at_census_sizes(case, fmt):
+    o, rank = case
+    assert 100 <= irr_count(o, rank) <= 3000
+    argv = ["decompose", "--rank", str(rank), "--format", fmt]
+    code, out, err = invoke(argv, json.dumps(o.to_json_dict()))
+    assert (code, err) == (0, "")
+    assert out == ref_decompose_output(o, rank, fmt)
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES)
+def test_decomposition_masks_and_indexing_at_census_sizes(case):
+    o, rank = case
+    parts = decompose(o, rank)
+    expected = ref_components(o, rank)
+    assert list(parts.masks()) == [c.zeroed_mask for c in expected]
+    picks = random.Random(rank).sample(range(len(expected)), 20) + [0, len(expected) - 1]
+    assert [parts[k] for k in picks] == [expected[k] for k in picks]
+    assert [parts[k - len(expected)] for k in picks] == [expected[k] for k in picks]
