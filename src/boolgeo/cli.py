@@ -408,28 +408,53 @@ def _cmd_decompose(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> No
             f"decomposition into {len(parts)} components exceeds the limit "
             f"{MAX_COMPONENTS}"
         )
-    # Each component is written as it is generated, from its forced-zero
-    # mask: index numbers for json and csv, minterm labels for text.
+    # A component's forced zeros are its head's, then its tail's
+    # (Decomposition.split): each head and each table mask is rendered
+    # once, a tail text after a nonempty head text gets a leading
+    # separator, and the components that share a head are written by one
+    # str.join over their table row.  The bytes are those of json.dumps of
+    # the whole payload, of csv.writer rows and of one print per component.
     separator = {"json": ", ", "csv": " "}.get(args.fmt, " = 0, ")
-    texts = map(mask_text(o.n, separator, labels=args.fmt == "text"), parts.masks())
-    # The bytes are those of json.dumps of the whole payload, of csv.writer
-    # rows and of one print per component.
+    render = mask_text(o.n, separator, labels=args.fmt == "text")
+    tails, heads = parts.split()
+    rows = {}
+    for q, masks in tails.items():
+        texts = list(map(render, masks))
+        rows[q, False] = texts
+        rows[q, True] = [separator + text if text else "" for text in texts]
     if args.fmt == "json":
         opening = f'{{"n": {o.n}, "A": ['
         out.write(f'{{"layout": "lsb-first", "n": {o.n}, "rank": {args.rank}, "components": [')
-        between = ""
-        for text in texts:
-            out.write(between + opening + text + "]}")
-            between = ", "
+        lead = ""
+        for head, q in heads:
+            text = render(head)
+            between = "]}, " + opening + text
+            out.write(lead + opening + text + between.join(rows[q, bool(text)]) + "]}")
+            lead = ", "
         out.write("]}\n")
-    elif args.fmt == "csv":
+        return
+    # A numbered row is laid out as a literal, the number, the head text and
+    # the tail text per component; a group fills in numbers and head text.
+    # An empty text after an empty head is a component without forced zeros.
+    if args.fmt == "csv":
         out.write("component,zeroed\n")
-        for i, text in enumerate(texts, 1):
-            out.write(f"{i},{text}\n")
+        literal, before, after, empty = "", ",", "\n", "\n"
     else:
-        for i, text in enumerate(texts, 1):
-            body = text + " = 0" if text else "(no forced-zero minterms)"
-            out.write(f"component {i}: {body}\n")
+        literal, before, after = "component ", ": ", " = 0\n"
+        empty = "(no forced-zero minterms)\n"
+    layouts = {}
+    for (q, joined), texts in rows.items():
+        layout = layouts[q, joined] = [literal, "", "", ""] * len(texts)
+        layout[3::4] = [text + after if text or joined else empty for text in texts]
+    number = 1
+    for head, q in heads:
+        text = render(head)
+        layout = layouts[q, bool(text)]
+        size = len(layout) // 4
+        layout[1::4] = map(str, range(number, number + size))
+        layout[2::4] = [before + text] * size
+        out.write("".join(layout))
+        number += size
 
 
 def _cmd_classify(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:

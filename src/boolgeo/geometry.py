@@ -9,10 +9,10 @@ variables to zero.
 
 from __future__ import annotations
 
-import itertools
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
+from itertools import combinations, repeat
 from math import comb
 
 from .algebra import check_rank
@@ -21,10 +21,13 @@ from .ortho import MintermIndex, OrthogonalSystem, _mask_from_indices
 from .solve import is_consistent
 
 
-# Component masks up to this many minterm bits are summed from a table of
-# single-bit masks; wider ones are built once each from their indices, so
-# no table holds s masks of 2**n bits.
-_BIT_TABLE_MINTERMS = 64
+# Cap on the tail table of a decomposition, in minterm cells (entries times
+# 2**n): up to 1024 entries at 4 variables, 8 at 11 and none past 13.
+_TAIL_TABLE_CELLS = 1 << 14
+# Up to this many indices, a mask is summed from shifted bits, each step an
+# addition as wide as its index; more are written once into a 2**n-digit
+# string, whose cost does not grow with their number.
+_SUMMED_BITS = 64
 
 
 class Decomposition(Sequence[OrthogonalSystem]):
@@ -52,16 +55,42 @@ class Decomposition(Sequence[OrthogonalSystem]):
     def __len__(self) -> int:
         return self._count
 
+    def split(self) -> tuple[dict[int, list[int]], Iterator[tuple[int, int]]]:
+        """Split the survivors into the first h (the head) and the last t
+        (the tail).
+
+        A component adds k survivors: a part P of the head and a part Q of
+        the tail.  Returns the tail table, which maps each |Q| that occurs
+        to the masks of (the forced zeros at or above the first tail
+        survivor) | Q, one per Q in combination order, and a lazy iterator
+        of (the forced zeros below it) | P with its |Q|, one per P.  Each
+        head joined with each mask of its table row, in order, gives
+        :meth:`masks`: in combination order the components that share P
+        are contiguous, and they come in the order of P followed by a
+        position past the head.
+
+        t is the tail size that needs the fewest masks (table entries plus
+        heads) while the table stays under ``_TAIL_TABLE_CELLS``; t = 0
+        makes one head per component.
+        """
+        survivors, k, n = self._survivors, self._extra, self.system.n
+        t = _tail_size(len(survivors), k, 1 << n, self._count)
+        h = len(survivors) - t
+        zeros = self.system.zeroed_mask
+        low = zeros & ((1 << survivors[h]) - 1) if t else zeros
+        lo, hi = max(k - t, 0), min(k, h)
+        tail = survivors[h:]
+        tails = {
+            q: list(map((zeros ^ low).__or__, _sums(n, combinations(tail, q), q)))
+            for q in range(k - hi, k - lo + 1)
+        }
+        return tails, _heads(n, survivors[:h], low, lo, hi, k)
+
     def masks(self) -> Iterator[int]:
         """The forced-zero mask of each component, in sequence order."""
-        base = self.system.zeroed_mask
-        if not self._extra:
-            return iter((base,))
-        if self.system.num_minterms <= _BIT_TABLE_MINTERMS:
-            bits = [1 << alpha for alpha in self._survivors]
-            return map(base.__or__, map(sum, itertools.combinations(bits, self._extra)))
-        extras = itertools.combinations(self._survivors, self._extra)
-        return map(base.__or__, map(partial(_mask_from_indices, self.system.n), extras))
+        tails, heads = self.split()
+        for head, q in heads:
+            yield from map(head.__or__, tails[q])
 
     def __iter__(self) -> Iterator[OrthogonalSystem]:
         return map(partial(OrthogonalSystem, self.system.n), self.masks())
@@ -101,6 +130,63 @@ class Decomposition(Sequence[OrthogonalSystem]):
             f"Decomposition(n={self.system.n}, zeroed={self.system.num_zeroed}, "
             f"rank={self.rank}, components={self._count})"
         )
+
+
+def _tail_size(s: int, k: int, width: int, count: int) -> int:
+    """The tail size t for :meth:`Decomposition.split` of ``count`` =
+    C(s, k) components of ``width`` minterms: the fewest table entries
+    plus heads, the smallest t on a tie, under ``_TAIL_TABLE_CELLS``."""
+    best, fewest = 0, count + 1
+    # The entries are the subsets Q of the tail that leave at most h
+    # survivors to the head; their number never falls as t grows.
+    for t in range(1, s):
+        h = s - t
+        sizes = range(max(k - t, 0), min(k, h) + 1)
+        entries = sum(comb(t, k - p) for p in sizes)
+        if entries * width > _TAIL_TABLE_CELLS:
+            break
+        renders = entries + sum(comb(h, p) for p in sizes)
+        if renders < fewest:
+            best, fewest = t, renders
+    return best
+
+
+def _sums(n: int, chosen: Iterable[tuple[MintermIndex, ...]], size: int) -> Iterator[int]:
+    """The mask of each tuple of ``size`` minterm indices in ``chosen``."""
+    if size <= _SUMMED_BITS:
+        return map(sum, map(map, repeat((1).__lshift__), chosen))
+    return map(partial(_mask_from_indices, n), chosen)
+
+
+def _heads(
+    n: int, head: tuple[MintermIndex, ...], low: int, lo: int, hi: int, k: int
+) -> Iterator[tuple[int, int]]:
+    """(low | P, k - |P|) for each subset P of ``head`` with lo <= |P| <=
+    hi, in the order of P followed by a position past the head."""
+    prefixes = map(low.__or__, _sums(n, combinations(head, lo), lo))
+    if lo == hi:
+        return zip(prefixes, repeat(k - lo))
+    return _extended(head, prefixes, lo, hi, k)
+
+
+def _extended(head, prefixes, lo, hi, k):
+    # Each P starts with its first lo positions; those of one prefix are
+    # contiguous, ending with the prefix itself.  Below a prefix they come
+    # from a post-order walk that adds up to hi - lo later positions.
+    h, depth = len(head), hi - lo
+    starts = (c[-1] + 1 if c else 0 for c in combinations(range(h), lo))
+    for start, prefix in zip(starts, prefixes):
+        masks, nexts = [prefix], [start]
+        while masks:
+            j = nexts[-1]
+            if j < h and len(masks) <= depth:
+                nexts[-1] = j + 1
+                masks.append(masks[-1] | 1 << head[j])
+                nexts.append(j + 1)
+            else:
+                nexts.pop()
+                mask = masks.pop()
+                yield mask, k - lo - len(masks)
 
 
 def _unrank(k: int, s: int, t: int) -> list[int]:

@@ -39,7 +39,7 @@ from boolgeo import (
     iso_pair_probability,
     sample_systems,
 )
-from boolgeo import cli
+from boolgeo import cli, geometry
 from boolgeo.cli import MAX_COMPONENTS, build_parser, config_from_args, run
 from boolgeo.ortho import format_minterm
 
@@ -616,3 +616,60 @@ def test_decomposition_masks_and_indexing_at_census_sizes(case):
     picks = random.Random(rank).sample(range(len(expected)), 20) + [0, len(expected) - 1]
     assert [parts[k] for k in picks] == [expected[k] for k in picks]
     assert [parts[k - len(expected)] for k in picks] == [expected[k] for k in picks]
+
+
+def table_entries(parts):
+    tails, _ = parts.split()
+    return sum(map(len, tails.values()))
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_split_at_every_tail_size_gives_combination_order(s):
+    # Every k and every tail size t, forced past the choice split() makes.
+    o = sampled(4, s, s)
+    for rank in range(1, s + 1):
+        expected = [c.zeroed_mask for c in ref_components(o, rank)]
+        for t in range(s + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry, "_tail_size", lambda *args: t)
+                assert list(decompose(o, rank).masks()) == expected, (rank, t)
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES)
+def test_split_renders_fewer_masks_under_the_cell_cap(case):
+    o, rank = case
+    parts = decompose(o, rank)
+    tails, heads = parts.split()
+    renders = sum(map(len, tails.values())) + sum(1 for _ in heads)
+    assert renders < len(parts)
+    assert table_entries(parts) << o.n <= geometry._TAIL_TABLE_CELLS
+
+
+def test_split_cases_reach_an_empty_head_and_an_empty_tail_region():
+    for name in ("zeros-above-4-12-8", "zeros-above-5-14-9", "no-zeros-4-r12"):
+        _, heads = decompose(*SPLIT_CASES[name]).split()
+        assert 0 in (head for head, _ in heads), name
+    for name in ("zeros-below-4-12-8", "zeros-below-5-13-7", "no-zeros-4-r12"):
+        tails, _ = decompose(*SPLIT_CASES[name]).split()
+        assert tails[0] == [0], name
+
+
+@pytest.mark.parametrize("name", ["n11-16-14", "n12-15-13"])
+def test_cell_cap_holds_the_table_of_wide_minterm_spaces(name):
+    parts = decompose(*SPLIT_CASES[name])
+    capped = table_entries(parts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_TAIL_TABLE_CELLS", 1 << 40)
+        assert table_entries(parts) > capped > 1
+
+
+@pytest.mark.parametrize("n", range(10, 17))
+def test_wide_decompositions_render_one_head_per_component(n):
+    # Survivors at the block edges split into 1-3 components, as the wide
+    # benchmark's do; the table holds the empty tail only.
+    size = 1 << n
+    for survivors, rank in (((5, size - 1), 1), ((0, 999, size - 1), 2), ((3, 1000, size - 2), 1)):
+        parts = decompose(planted(n, survivors), rank)
+        tails, heads = parts.split()
+        assert tails == {0: [0]}
+        assert [head for head, _ in heads] == [c.zeroed_mask for c in ref_components(parts.system, rank)]
