@@ -166,14 +166,20 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    from importlib import import_module
-
     if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    if name not in _SOURCE:
+        source = name
+    elif name in _SOURCE:
+        source = _SOURCE[name]
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
-    globals()[name] = value
+    # The import statement's own machinery, which ``python -X importtime``
+    # reports and importlib.import_module bypasses; it binds the submodule
+    # as an attribute of this package.
+    __import__(f"{__name__}.{source}")
+    module = globals()[source]
+    if name == source:
+        return module
+    value = globals()[name] = getattr(module, name)
     return value
 
 

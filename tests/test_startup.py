@@ -77,6 +77,23 @@ def test_commands_load_the_parser_modules(argv):
     assert not modules & {"dataclasses", "inspect", "typing"}
 
 
+def test_importtime_lists_every_boolgeo_module_loaded():
+    # Submodules the package imports on attribute access (cli's
+    # ``from . import geometry``) appear in the listing like the others.
+    script = f"import sys; sys.path.insert(0, {SRC!r}); import boolgeo.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = boolgeo_modules(set(proc.stdout.split()))
+    listed = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert "boolgeo.geometry" in loaded
+    assert loaded <= listed
+
+
 def test_every_public_name_resolves():
     assert boolgeo.__all__ == ALL
     for name in ALL:
