@@ -417,12 +417,18 @@ def _cmd_decompose(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> No
     separator = {"json": ", ", "csv": " "}.get(args.fmt, " = 0, ")
     render = mask_text(o.n, separator, labels=args.fmt == "text")
     tails, heads = parts.split()
-    rows = {}
-    for q, masks in tails.items():
-        texts = list(map(render, masks))
-        rows[q, False] = texts
-        rows[q, True] = [separator + text if text else "" for text in texts]
+    texts = {q: list(map(render, masks)) for q, masks in tails.items()}
+
+    def row(key):
+        # The texts of the table row for |Q| = q after a head text that is
+        # nonempty (joined) or empty; each is built on first use.
+        q, joined = key
+        if not joined:
+            return texts[q]
+        return [separator + text if text else "" for text in texts[q]]
+
     if args.fmt == "json":
+        rows = solve.MaskCache(row)
         opening = f'{{"n": {o.n}, "A": ['
         out.write(f'{{"layout": "lsb-first", "n": {o.n}, "rank": {args.rank}, "components": [')
         lead = ""
@@ -442,18 +448,22 @@ def _cmd_decompose(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> No
     else:
         literal, before, after = "component ", ": ", " = 0\n"
         empty = "(no forced-zero minterms)\n"
-    layouts = {}
-    for (q, joined), texts in rows.items():
-        layout = layouts[q, joined] = [literal, "", "", ""] * len(texts)
-        layout[3::4] = [text + after if text or joined else empty for text in texts]
+
+    def layout(key):
+        pieces = [text + after if text or key[1] else empty for text in row(key)]
+        slots = [literal, "", "", ""] * len(pieces)
+        slots[3::4] = pieces
+        return slots
+
+    layouts = solve.MaskCache(layout)
     number = 1
     for head, q in heads:
         text = render(head)
-        layout = layouts[q, bool(text)]
-        size = len(layout) // 4
-        layout[1::4] = map(str, range(number, number + size))
-        layout[2::4] = [before + text] * size
-        out.write("".join(layout))
+        slots = layouts[q, bool(text)]
+        size = len(slots) // 4
+        slots[1::4] = map(str, range(number, number + size))
+        slots[2::4] = [before + text] * size
+        out.write("".join(slots))
         number += size
 
 

@@ -10,9 +10,9 @@ variables to zero.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 
 from .algebra import check_rank
@@ -24,10 +24,6 @@ from .solve import is_consistent
 # Cap on the tail table of a decomposition, in minterm cells (entries times
 # 2**n): up to 1024 entries at 4 variables, 8 at 11 and none past 13.
 _TAIL_TABLE_CELLS = 1 << 14
-# Up to this many indices, a mask is summed from shifted bits, each step an
-# addition as wide as its index; more are written once into a 2**n-digit
-# string, whose cost does not grow with their number.
-_SUMMED_BITS = 64
 
 
 class Decomposition(Sequence[OrthogonalSystem]):
@@ -79,12 +75,12 @@ class Decomposition(Sequence[OrthogonalSystem]):
         zeros = self.system.zeroed_mask
         low = zeros & ((1 << survivors[h]) - 1) if t else zeros
         lo, hi = max(k - t, 0), min(k, h)
-        tail = survivors[h:]
+        build = partial(_mask_from_indices, n)
         tails = {
-            q: list(map((zeros ^ low).__or__, _sums(n, combinations(tail, q), q)))
+            q: list(map((zeros ^ low).__or__, map(build, combinations(survivors[h:], q))))
             for q in range(k - hi, k - lo + 1)
         }
-        return tails, _heads(n, survivors[:h], low, lo, hi, k)
+        return tails, _heads(build, survivors[:h], low, lo, hi, k)
 
     def masks(self) -> Iterator[int]:
         """The forced-zero mask of each component, in sequence order."""
@@ -138,8 +134,10 @@ def _tail_size(s: int, k: int, width: int, count: int) -> int:
     plus heads, the smallest t on a tie, under ``_TAIL_TABLE_CELLS``."""
     best, fewest = 0, count + 1
     # The entries are the subsets Q of the tail that leave at most h
-    # survivors to the head; their number never falls as t grows.
-    for t in range(1, s):
+    # survivors to the head; their number never falls as t grows.  With
+    # k = 0 there is one component, the system itself, and one entry at
+    # every t.
+    for t in range(1, s if k else 1):
         h = s - t
         sizes = range(max(k - t, 0), min(k, h) + 1)
         entries = sum(comb(t, k - p) for p in sizes)
@@ -151,32 +149,24 @@ def _tail_size(s: int, k: int, width: int, count: int) -> int:
     return best
 
 
-def _sums(n: int, chosen: Iterable[tuple[MintermIndex, ...]], size: int) -> Iterator[int]:
-    """The mask of each tuple of ``size`` minterm indices in ``chosen``."""
-    if size <= _SUMMED_BITS:
-        return map(sum, map(map, repeat((1).__lshift__), chosen))
-    return map(partial(_mask_from_indices, n), chosen)
-
-
 def _heads(
-    n: int, head: tuple[MintermIndex, ...], low: int, lo: int, hi: int, k: int
+    build: Callable[[Iterable[MintermIndex]], int],
+    head: tuple[MintermIndex, ...],
+    low: int,
+    lo: int,
+    hi: int,
+    k: int,
 ) -> Iterator[tuple[int, int]]:
     """(low | P, k - |P|) for each subset P of ``head`` with lo <= |P| <=
-    hi, in the order of P followed by a position past the head."""
-    prefixes = map(low.__or__, _sums(n, combinations(head, lo), lo))
-    if lo == hi:
-        return zip(prefixes, repeat(k - lo))
-    return _extended(head, prefixes, lo, hi, k)
+    hi, in the order of P followed by a position past the head.
 
-
-def _extended(head, prefixes, lo, hi, k):
-    # Each P starts with its first lo positions; those of one prefix are
-    # contiguous, ending with the prefix itself.  Below a prefix they come
-    # from a post-order walk that adds up to hi - lo later positions.
+    The sets that share their first lo positions are contiguous and end
+    with those lo alone; below them a post-order walk adds up to hi - lo
+    later positions, one bit per step."""
     h, depth = len(head), hi - lo
-    starts = (c[-1] + 1 if c else 0 for c in combinations(range(h), lo))
-    for start, prefix in zip(starts, prefixes):
-        masks, nexts = [prefix], [start]
+    for first in combinations(range(h), lo):
+        masks = [low | build(map(head.__getitem__, first))]
+        nexts = [first[-1] + 1 if first else 0]
         while masks:
             j = nexts[-1]
             if j < h and len(masks) <= depth:
