@@ -10,7 +10,7 @@ variables to zero.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -22,7 +22,8 @@ from .solve import is_consistent
 
 
 # Cap on the tail table of a decomposition, in minterm cells (entries times
-# 2**n): up to 1024 entries at 4 variables, 8 at 11 and none past 13.
+# 2**n): up to 1024 entries at 4 variables, 8 at 11, and past 13 only the
+# one entry of an empty tail.
 _TAIL_TABLE_CELLS = 1 << 14
 
 
@@ -80,7 +81,7 @@ class Decomposition(Sequence[OrthogonalSystem]):
             q: list(map((zeros ^ low).__or__, map(build, combinations(survivors[h:], q))))
             for q in range(k - hi, k - lo + 1)
         }
-        return tails, _heads(build, survivors[:h], low, lo, hi, k)
+        return tails, _heads(n, survivors[:h], low, lo, hi, k)
 
     def masks(self) -> Iterator[int]:
         """The forced-zero mask of each component, in sequence order."""
@@ -150,12 +151,7 @@ def _tail_size(s: int, k: int, width: int, count: int) -> int:
 
 
 def _heads(
-    build: Callable[[Iterable[MintermIndex]], int],
-    head: tuple[MintermIndex, ...],
-    low: int,
-    lo: int,
-    hi: int,
-    k: int,
+    n: int, head: tuple[MintermIndex, ...], low: int, lo: int, hi: int, k: int
 ) -> Iterator[tuple[int, int]]:
     """(low | P, k - |P|) for each subset P of ``head`` with lo <= |P| <=
     hi, in the order of P followed by a position past the head.
@@ -165,7 +161,7 @@ def _heads(
     later positions, one bit per step."""
     h, depth = len(head), hi - lo
     for first in combinations(range(h), lo):
-        masks = [low | build(map(head.__getitem__, first))]
+        masks = [low | _mask_from_indices(n, map(head.__getitem__, first))]
         nexts = [first[-1] + 1 if first else 0]
         while masks:
             j = nexts[-1]

@@ -640,9 +640,9 @@ def test_split_renders_fewer_masks_under_the_cell_cap(case):
     o, rank = case
     parts = decompose(o, rank)
     tails, heads = parts.split()
-    renders = sum(map(len, tails.values())) + sum(1 for _ in heads)
-    assert renders < len(parts)
-    assert table_entries(parts) << o.n <= geometry._TAIL_TABLE_CELLS
+    entries = sum(map(len, tails.values()))
+    assert entries + sum(1 for _ in heads) < len(parts)
+    assert entries << o.n <= geometry._TAIL_TABLE_CELLS
 
 
 def test_split_cases_reach_an_empty_head_and_an_empty_tail_region():
@@ -668,8 +668,10 @@ def test_wide_decompositions_render_one_head_per_component(n):
     # Survivors at the block edges split into 1-3 components, as the wide
     # benchmark's do; the table holds the empty tail only.
     size = 1 << n
-    for survivors, rank in (((5, size - 1), 1), ((0, 999, size - 1), 2), ((3, 1000, size - 2), 1)):
+    cases = (((5, size - 1), 2), ((5, size - 1), 1), ((0, 999, size - 1), 2), ((3, 1000, size - 2), 1))
+    for survivors, rank in cases:
         parts = decompose(planted(n, survivors), rank)
         tails, heads = parts.split()
         assert tails == {0: [0]}
-        assert [head for head, _ in heads] == [c.zeroed_mask for c in ref_components(parts.system, rank)]
+        expected = [c.zeroed_mask for c in ref_components(parts.system, rank)]
+        assert [head for head, _ in heads] == expected
