@@ -5,13 +5,15 @@ The pipeline: parse a boolean equation system (:mod:`boolgeo.syntax`),
 reduce it to its canonical orthogonal form (:mod:`boolgeo.ortho`),
 enumerate or count solutions over an algebra of any rank
 (:mod:`boolgeo.solve`), classify the solution set
-(:mod:`boolgeo.geometry`) and verify the exact counting formulas
-(:mod:`boolgeo.stats`).
+(:mod:`boolgeo.geometry`) and give the exact counting formulas of the
+uniform model over all orthogonal systems (:mod:`boolgeo.stats`).
 """
 
-# The submodule that defines each public name.  A name is imported from it
-# when first read (PEP 562), so that ``import boolgeo`` loads no submodule
-# and each command of ``boolgeo.cli`` loads only the modules it uses.
+# The submodule that defines each public name, and the one list of those
+# names: ``__all__`` is derived from it.  A name is imported from its
+# submodule when first read (PEP 562), so that ``import boolgeo`` loads no
+# submodule and each command of ``boolgeo.cli`` loads only the modules it
+# uses.
 _SOURCES = {
     "algebra": (
         "MAX_RANK",
@@ -97,72 +99,7 @@ _SUBMODULES = {*_SOURCES, "cli"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoolgeoError",
-    "Complement",
-    "Const",
-    "Decomposition",
-    "DEFAULT_MAX_VARS",
-    "Element",
-    "Equation",
-    "ExactRational",
-    "InconsistentSystemError",
-    "Join",
-    "LimitExceededError",
-    "MAX_RANK",
-    "Meet",
-    "MintermIndex",
-    "MissingVariableError",
-    "OrthogonalSystem",
-    "ParseError",
-    "RankMismatchError",
-    "System",
-    "SystemMismatchError",
-    "Term",
-    "Var",
-    "XPoint",
-    "ZPoint",
-    "are_isomorphic",
-    "asymptotic_irr",
-    "atoms",
-    "avg_ir_rank",
-    "avg_irr_closed",
-    "avg_irr_exhaustive",
-    "bits_to_index",
-    "complement",
-    "coordinate_atoms",
-    "coordinate_rank",
-    "count_solutions",
-    "decompose",
-    "elements",
-    "eval_term",
-    "format_element",
-    "format_equation",
-    "format_minterm",
-    "format_system",
-    "format_term",
-    "index_to_bits",
-    "irr_count",
-    "irreducibility_rank",
-    "is_consistent",
-    "is_irreducible",
-    "iso_pair_asymptotic",
-    "iso_pair_probability",
-    "join",
-    "meet",
-    "orthogonalize",
-    "parse_element",
-    "parse_system",
-    "parse_term",
-    "sample_ortho",
-    "sample_systems",
-    "satisfies",
-    "solutions_x",
-    "solutions_z",
-    "truth_table",
-    "x_from_z",
-    "z_from_x",
-]
+__all__ = sorted(_SOURCE, key=lambda name: (name[0].islower(), name.casefold()))
 
 
 def __getattr__(name: str):

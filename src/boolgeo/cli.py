@@ -62,12 +62,15 @@ if TYPE_CHECKING:
 MAX_COMPONENTS = 10**6
 
 # stats refuses (exit 2) an exact value whose cost exceeds this, about 2 s:
-# m big-int steps on m-bit numbers for --avg-ir, times 8 for --iso-prob,
-# which also squares m/2 of them (8 times as slow at m = 20000).  --avg-irr
-# walks r + 1 binomials of up to m bits, as fast per m * r as --avg-ir per
-# m * m (1.4 s at m = r = 70000), then writes two m-bit integers in decimal
-# at about the cost of _AVG_IRR_TEXT_COST walk steps per bit (1.4 s at
-# m = 9.7 * 10**6).
+# m * (r + _AVG_IRR_TEXT_COST) for --avg-irr, and _STATS_COST_PER_M2 times
+# m * m for --avg-ir and --iso-prob.  --avg-irr walks r + 1 binomials of up
+# to m bits, r big-int steps on m-bit numbers (1.4 s at m = r = 70000),
+# then writes two m-bit integers in decimal at about the cost of
+# _AVG_IRR_TEXT_COST walk steps per bit (1.4 s at m = 9.7 * 10**6).  The
+# other two are closed forms, cheap at their limits (m <= 70710 and 25000):
+# --avg-ir's m/2 costs nothing, and --iso-prob's comb(2m, m), 4**m, their
+# reduced fraction and its decimal text take 0.04 s at m = 25000 on a
+# 2-vCPU machine (0.1 s for the whole process).
 MAX_STATS_COST = 5 * 10**9
 _STATS_COST_PER_M2 = {"avg-ir": 1, "iso-prob": 8}
 _AVG_IRR_TEXT_COST = 512

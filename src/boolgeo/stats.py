@@ -2,14 +2,14 @@
 minterm variables, under the uniform model (each of the 2**m forced-zero
 sets equally likely).
 
-Every exact value is an unbounded rational; floating point enters only
+Every exact value is an unbounded rational from a closed form, which the
+test suite proves against its defining sum; floating point enters only
 in the two asymptotic helpers.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from collections.abc import Iterator
 from fractions import Fraction
@@ -114,41 +114,18 @@ def asymptotic_irr(m: int, r: int) -> float:
 
 def avg_ir_rank(m: int) -> Fraction:
     """Average irreducibility rank across all orthogonal systems in m
-    minterm variables; exactly m/2.
-
-    Computed both in closed form and as the weighted sum
-    2**(-m) * sum_a (m - a) * C(m, a); the two routes must agree.  The
-    binomials are built one from the next in O(m) big-int steps.
-    """
+    minterm variables: the mean surviving-minterm count,
+    sum_a (m - a) * C(m, a) / 2**m over forced-zero counts a, which is m/2."""
     _check_m(m)
-    closed = Fraction(m, 2)
-    summed = Fraction(
-        sum(map(operator.mul, range(m, -1, -1), _binomials(m))), 1 << m
-    )
-    if closed != summed:
-        raise ArithmeticError(f"closed form {closed} != summation {summed}")
-    return closed
+    return Fraction(m, 2)
 
 
 def iso_pair_probability(m: int) -> Fraction:
     """Probability that two independently uniform orthogonal systems in m
-    minterm variables define isomorphic solution sets:
-
-        C(2m, m) / 4**m
-
-    Verified internally against sum_i C(m, i)**2 / 4**m, with the
-    binomials built one from the next in O(m) big-int steps.
-    """
+    minterm variables define isomorphic solution sets, that is have equal
+    forced-zero counts: sum_i C(m, i)**2 / 4**m = C(2m, m) / 4**m."""
     _check_m(m)
-    pairs = comb(2 * m, m)
-    # C(m, i) = C(m, m - i): each square below the middle counts twice.
-    by_size = 0
-    for i, c in zip(range(m // 2 + 1), _binomials(m)):
-        square = c * c
-        by_size += square if 2 * i == m else square << 1
-    if pairs != by_size:
-        raise ArithmeticError(f"C(2m,m)={pairs} != sum of squares {by_size}")
-    return Fraction(pairs, 4**m)
+    return Fraction(comb(2 * m, m), 4**m)
 
 
 def iso_pair_asymptotic(m: int) -> float:

@@ -39,7 +39,7 @@ from boolgeo import (
     iso_pair_probability,
     sample_systems,
 )
-from boolgeo import cli, geometry
+from boolgeo import cli, geometry, stats
 from boolgeo.cli import MAX_COMPONENTS, build_parser, config_from_args, run
 from boolgeo.ortho import format_minterm
 
@@ -189,6 +189,18 @@ def test_avg_ir_rank_matches_the_comb_sum(m):
 @given(m=st.integers(1, 400))
 def test_iso_pair_probability_matches_the_comb_sum(m):
     assert iso_pair_probability(m) == ref_iso_pair_probability(m)
+
+
+def test_closed_forms_walk_no_binomials(monkeypatch):
+    # The identities are proved above; the library returns the closed
+    # forms without summing a binomial row again.
+    def walk(m):
+        raise AssertionError(f"binomial walk over C({m}, .)")
+
+    monkeypatch.setattr(stats, "_binomials", walk)
+    for m in (1, 2, 7, 64, 400):
+        assert avg_ir_rank(m) == ref_avg_ir_rank(m)
+        assert iso_pair_probability(m) == ref_iso_pair_probability(m)
 
 
 @pytest.mark.parametrize(
