@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: orthogonalize, solve, decompose, classify, iso, stats.
+Subcommands: orthogonalize, solve, decompose, classify, iso, stats, with
+options declared once in ``_OPTIONS``; argparse is built from that table
+only for help, usage errors and spellings that the table's reader declines.
 Systems are read inline (-e), from a file (-f) or from standard input,
 either as ``.beq`` equation text or as orthogonal-system JSON
 (auto-detected by a leading '{'), so commands compose in pipelines:
@@ -15,12 +17,12 @@ early (``| head``) ends the run quietly with exit 0.
 
 from __future__ import annotations
 
-import argparse
 import io
 import math
 import operator
 import os
 import sys
+from types import SimpleNamespace
 
 from . import geometry, solve
 from .algebra import Element, check_rank
@@ -106,124 +108,163 @@ _EXIT_CODES = (
 _REPORTED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+def _row(*flags: str, **kw) -> tuple:
+    """An option: its strings and the keywords of argparse's add_argument."""
+    return flags, kw
 
 
-class _Commands(argparse._SubParsersAction):
-    """Subcommands whose parsers are built when the command is parsed.
-
-    argparse makes a help formatter for each ``add_argument`` call, so
-    declaring the options of all six commands took 25 times as long as
-    parsing a command line; a run declares those of its own command only.
-    ``choices`` holds every name in order (for "invalid choice" messages)
-    and the top-level help lists each name with its help line; the
-    parser of a command joins ``_name_parser_map`` when it is built."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.choices = {}
-
-    def add_parser(self, name, *, build, help):
-        self.choices[name] = build
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        if name not in self._name_parser_map:
-            self.choices[name](super().add_parser(name))
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _input_options(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("-e", "--expr", help="inline system text")
-    group.add_argument("-f", "--file", dest="path", help="read system from a file")
-    p.add_argument(
-        "--max-vars",
-        type=int,
-        default=None,
-        help=f"variable limit (default 16 for .beq input, none below the hard cap "
-        f"for JSON input; ${MAX_VARS_ENV})",
-    )
-
-
-def _format_option(p: argparse.ArgumentParser, default: str = "text") -> None:
-    p.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("text", "json", "csv"),
-        default=default,
-        help=f"output format (default {default})",
-    )
+_FORMAT, _FORMAT_JSON = (
+    _row("--format", dest="fmt", choices=("text", "json", "csv"), default=default,
+         help=f"output format (default {default})") for default in ("text", "json")
+)  # fmt: skip
+_INPUT = (
+    _row("-e", "--expr", help="inline system text"),
+    _row("-f", "--file", dest="path", help="read system from a file"),
+)
+_MAX_VARS = _row("--max-vars", type=int, help="variable limit (default 16 for .beq input, none "
+                 f"below the hard cap for JSON input; ${MAX_VARS_ENV})")  # fmt: skip
+_RANK_ROWS = (_MAX_VARS, _FORMAT, _row("--rank", type=int, required=True, help="algebra rank r"))
+# Each command's options, declared once for the reader and for argparse: its
+# help line, the rows that exclude each other and its other rows, in the
+# order that its help lists them.
+_OPTIONS = {
+    "orthogonalize": ("reduce a system to orthogonal form", _INPUT, (_MAX_VARS, _FORMAT_JSON)),
+    "solve": ("enumerate or count solutions", _INPUT, (
+        *_RANK_ROWS,
+        _row("--limit", type=int, help="emit at most this many solutions"),
+        _row("--count", dest="count_only", action="store_true",
+             help="print the exact solution count only"),
+        _row("--z", dest="z_space", action="store_true", help="emit minterm-space points instead"),
+    )),
+    "decompose": ("split into irreducible components", _INPUT, _RANK_ROWS),
+    "classify": ("coordinate rank, irreducibility, component count", _INPUT, _RANK_ROWS),
+    "iso": ("decide whether two systems' solution sets are isomorphic", (), (
+        _row("files", nargs="*", help="system files (two total inputs needed)"),
+        _row("-e", "--expr", action="append", default=[], help="inline system text (repeatable)"),
+        _row("--max-vars", type=int),
+        _FORMAT,
+    )),
+    "stats": ("exact averages and probabilities", (), (
+        _FORMAT,
+        _row("--avg-irr", nargs=2, metavar=("M", "R"),
+             help="average component count; M may be a comma list"),
+        _row("--avg-ir", metavar="M", help="average irreducibility rank; M may be a comma list"),
+        _row("--iso-prob", metavar="M", help="isomorphic-pair probability; M may be a comma list"),
+        _row("--exhaustive", action="store_true", help="compute --avg-irr by full enumeration"),
+        _row("--samples", type=int, help="add a Monte Carlo estimate from N samples"),
+        _row("--seed", type=int, default=0, help="seed for --samples (default 0)"),
+    )),
+}  # fmt: skip
 
 
-def _orthogonalize_options(p: argparse.ArgumentParser) -> None:
-    _input_options(p)
-    _format_option(p, default="json")
+def _reader_table(exclusive: tuple, rows: tuple) -> tuple:
+    """A command's rows as :func:`_read` reads them: {option string: (dest,
+    values taken, type, choices, whether it appends)}, the defaults, the
+    positional's dest or None, the required dests and those of -e and -f."""
+    options, defaults, positional, required = {}, {}, None, set()
+    for flags, kw in (*exclusive, *rows):
+        action = kw.get("action")
+        dest = kw.get("dest") or flags[-1].lstrip("-").replace("-", "_")
+        defaults[dest] = kw.get("default", False if action == "store_true" else None)
+        if kw.get("required"):
+            required.add(dest)
+        if kw.get("nargs") == "*":
+            positional, defaults[dest] = dest, []
+            continue
+        count = 0 if action == "store_true" else kw.get("nargs", 1)
+        spec = (dest, count, kw.get("type"), kw.get("choices"), action == "append")
+        options.update(dict.fromkeys(flags, spec))
+    return options, defaults, positional, required, {options[flags[0]][0] for flags, _ in exclusive}
 
 
-def _rank_options(p: argparse.ArgumentParser) -> None:
-    """The options of decompose and classify, which solve extends."""
-    _input_options(p)
-    _format_option(p)
-    p.add_argument("--rank", type=int, required=True, help="algebra rank r")
+_READER = {name: _reader_table(exclusive, rows) for name, (_, exclusive, rows) in _OPTIONS.items()}
 
 
-def _solve_options(p: argparse.ArgumentParser) -> None:
-    _rank_options(p)
-    p.add_argument("--limit", type=int, default=None, help="emit at most this many solutions")
-    p.add_argument(
-        "--count", dest="count_only", action="store_true", help="print the exact solution count only"
-    )
-    p.add_argument("--z", dest="z_space", action="store_true", help="emit minterm-space points instead")
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse gives for argv if argv is a command name
+    and exact option strings of that command, each followed by its values,
+    none starting with '-'; int values convert with ``int()``, --format is
+    one of its choices, iso's files form one run, -e and -f are not both
+    given and --rank is.  Otherwise None: help, ``--rank=2``, abbreviations,
+    ``--``, negative values and every usage error are left to argparse."""
+    if not argv or argv[0] not in _READER:
+        return None
+    options, defaults, positional, required, exclusive = _READER[argv[0]]
+    args = {dest: value[:] if type(value) is list else value for dest, value in defaults.items()}
+    given, i, opened, closed = set(), 1, False, False  # iso's files: begun, then ended
+    while i < len(argv):
+        arg = argv[i]
+        if arg not in options:
+            if positional is None or closed or arg.startswith("-"):
+                return None
+            args[positional].append(arg)
+            opened, i = True, i + 1
+            continue
+        dest, count, type_, choices, append = options[arg]
+        values = argv[i + 1 : i + 1 + count]
+        if len(values) < count or any(value.startswith("-") for value in values):
+            return None
+        closed, i = opened, i + 1 + count
+        value = values[0] if count == 1 else values or True  # a flag takes no value
+        if type_ is not None:
+            try:
+                value = type_(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        if append:
+            args[dest].append(value)
+        else:
+            args[dest] = value
+        given.add(dest)
+    if len(given & exclusive) > 1 or not given >= required:
+        return None
+    return SimpleNamespace(command=argv[0], **args)
 
 
-def _iso_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("files", nargs="*", help="system files (two total inputs needed)")
-    p.add_argument("-e", "--expr", action="append", default=[], help="inline system text (repeatable)")
-    p.add_argument("--max-vars", type=int, default=None)
-    _format_option(p)
+def _argparse_parser():
+    """The argparse parser declared from ``_OPTIONS``, for what :func:`_read`
+    declines: it prints help, raises _UsageError or parses the spelling."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
 
-def _stats_options(p: argparse.ArgumentParser) -> None:
-    _format_option(p)
-    p.add_argument("--avg-irr", nargs=2, metavar=("M", "R"), help="average component count; M may be a comma list")
-    p.add_argument("--avg-ir", metavar="M", help="average irreducibility rank; M may be a comma list")
-    p.add_argument("--iso-prob", metavar="M", help="isomorphic-pair probability; M may be a comma list")
-    p.add_argument("--exhaustive", action="store_true", help="compute --avg-irr by full enumeration")
-    p.add_argument("--samples", type=int, default=None, help="add a Monte Carlo estimate from N samples")
-    p.add_argument("--seed", type=int, default=0, help="seed for --samples (default 0)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the boolgeo command line; a command's options are
-    declared when that command is parsed or asked for ``--help``."""
     parser = _Parser(prog="boolgeo", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(action=_Commands, dest="command", required=True, metavar="command")
-    sub.add_parser("orthogonalize", build=_orthogonalize_options, help="reduce a system to orthogonal form")
-    sub.add_parser("solve", build=_solve_options, help="enumerate or count solutions")
-    sub.add_parser("decompose", build=_rank_options, help="split into irreducible components")
-    sub.add_parser(
-        "classify", build=_rank_options, help="coordinate rank, irreducibility, component count"
-    )
-    sub.add_parser(
-        "iso", build=_iso_options, help="decide whether two systems' solution sets are isomorphic"
-    )
-    sub.add_parser("stats", build=_stats_options, help="exact averages and probabilities")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (text, exclusive, rows) in _OPTIONS.items():
+        p = sub.add_parser(name, help=text)
+        group = p.add_mutually_exclusive_group() if exclusive else None
+        for flags, kw in exclusive:
+            group.add_argument(*flags, **kw)
+        for flags, kw in rows:
+            p.add_argument(*flags, **kw)
     return parser
+
+
+class _CommandLine:
+    def parse_args(self, args: Sequence[str] | None = None) -> SimpleNamespace:
+        argv = sys.argv[1:] if args is None else list(args)
+        return _read(argv) or _argparse_parser().parse_args(argv, SimpleNamespace())
+
+
+def build_parser() -> _CommandLine:
+    """A new parser for the boolgeo command line: ``parse_args`` reads a
+    well-formed command line from the option table alone and builds the
+    argparse parser only for the rest (see :func:`_read`)."""
+    return _CommandLine()
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"{flag} expects an integer or comma list, got {text!r}") from None
-    return values
 
 
-def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+def config_from_args(args: SimpleNamespace) -> SimpleNamespace:
     """Checks and normalizes parsed arguments in place and returns them:
     iso's systems become (text, path) pairs, inline texts first, and each
     stats list becomes a tuple of ints, or None when absent or empty."""
@@ -293,7 +334,7 @@ def _emit(fmt: str, out: IO[str], record: dict, text: str) -> None:
         print(text, file=out)
 
 
-def _cmd_orthogonalize(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
+def _cmd_orthogonalize(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     o, _ = _load_ortho(_read_input(args.expr, args.path, stdin), args.max_vars)
     # The bytes are those of json.dumps(o.to_json_dict()), of csv.writer
     # rows and of print(o.render_text()).
@@ -307,7 +348,7 @@ def _cmd_orthogonalize(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -
         print(o.render_text(), file=out)
 
 
-def _cmd_solve(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
+def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     check_rank(args.rank)
     if args.limit is not None and args.limit < 0:
         raise _UsageError("--limit must be nonnegative")
@@ -402,7 +443,7 @@ def _cmd_solve(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
     out.write(ending)
 
 
-def _cmd_decompose(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
+def _cmd_decompose(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     check_rank(args.rank)
     o, _ = _load_ortho(_read_input(args.expr, args.path, stdin), args.max_vars)
     parts = geometry.decompose(o, args.rank)
@@ -470,7 +511,7 @@ def _cmd_decompose(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> No
         number += size
 
 
-def _cmd_classify(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
+def _cmd_classify(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     check_rank(args.rank)
     o, _ = _load_ortho(_read_input(args.expr, args.path, stdin), args.max_vars)
     record = {
@@ -490,7 +531,7 @@ def _cmd_classify(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> Non
     _emit(args.fmt, out, record, text)
 
 
-def _cmd_iso(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
+def _cmd_iso(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     if len(args.inputs) != 2:
         raise _UsageError("iso needs exactly two systems (via -e and/or file arguments)")
     first, second = (
@@ -559,7 +600,7 @@ def _empirical(kind: str, m: int, r: int | None, samples: int, seed: int) -> flo
     return sum(systems * (m - z) for z, systems in tally.items()) / samples
 
 
-def _cmd_stats(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> None:
+def _cmd_stats(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     from . import stats
 
     if args.avg_irr is None and args.avg_ir is None and args.iso_prob is None:
@@ -661,7 +702,7 @@ _COMMANDS = {
 
 
 def run(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     stdin: IO[str] | None = None,
     stdout: IO[str] | None = None,
     stderr: IO[str] | None = None,
@@ -682,9 +723,8 @@ def run(
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = config_from_args(parser.parse_args(argv))
+        args = config_from_args(build_parser().parse_args(argv))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,10 +1,16 @@
 """The command-line surface, byte for byte: ``--help`` of boolgeo and of
-each command, the usage errors that exit 4, and the parsed arguments
-that reach :func:`boolgeo.cli.run`."""
+each command, the usage errors that exit 4, the parsed arguments that
+reach :func:`boolgeo.cli.run`, and the reader of well-formed command
+lines against argparse."""
 
+import io
 import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boolgeo import cli
 
@@ -348,3 +354,111 @@ def test_each_call_builds_a_new_parser():
     first.parse_args(["decompose", "--rank", "1"])
     with pytest.raises(cli._UsageError, match="--rank"):
         second.parse_args(["decompose"])
+
+
+# --- the reader against argparse ------------------------------------------
+
+# {command: {option string or positional: its add_argument keywords}}
+ROWS = {
+    name: {flag: kw for flags, kw in (*exclusive, *rows) for flag in flags}
+    for name, (_, exclusive, rows) in cli._OPTIONS.items()
+}
+ANY_ROW = {flag: kw for rows in ROWS.values() for flag, kw in rows.items()}
+OPTION_STRINGS = sorted(flag for flag in ANY_ROW if flag[0] == "-")
+# Spellings that argparse parses or refuses and the reader leaves to it.
+ODD = ["--", "-h", "--help", "--rank=1", "--ra", "--form", "--format=json", "-ex1", "--avg", "-"]
+INTS = ["1", "2", "3", " 7", "+2", "1_0", "٣"]
+VALUES = [*INTS, "4,8", "json", "csv", "text", "x1 = x1", "a.beq", "solve", "-1", "", "-", "xml"]
+
+
+@st.composite
+def argvs(draw):
+    """Command lines near the accepted shapes: often the required options
+    first, then mostly the command's own options with as many values as
+    they take, each value mostly of the option's type; also other
+    commands' options, odd spellings, positionals and junk values."""
+    command = draw(st.sampled_from([*COMMANDS * 3, "nope", "-h", ""]))
+    own = [flag for flag in ROWS.get(command, ()) if flag[0] == "-"] or OPTION_STRINGS
+    argv = [command]
+    if draw(st.booleans()):
+        required = [flag for flag, kw in ROWS.get(command, {}).items() if kw.get("required")]
+        argv += [item for flag in required for item in (flag, draw(st.sampled_from(INTS)))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["own"] * 16 + ["other", "odd", "positional"]))
+        if kind == "positional":
+            argv.append(draw(st.sampled_from(VALUES)))
+            continue
+        flag = draw(st.sampled_from({"own": own, "other": OPTION_STRINGS, "odd": ODD}[kind]))
+        kw = {**ANY_ROW, **ROWS.get(command, {})}.get(flag, {})
+        arity = 0 if kw.get("action") == "store_true" else kw.get("nargs", 1)
+        count = draw(st.sampled_from([arity] * 16 + [0, 1, 2]))
+        good = list(kw.get("choices") or (INTS if kw.get("type") is int else VALUES))
+        argv.append(flag)
+        argv += draw(st.lists(st.sampled_from(good * 8 + VALUES), min_size=count, max_size=count))
+    return argv
+
+
+def argparse_namespace(argv):
+    try:
+        return cli._argparse_parser().parse_args(argv, SimpleNamespace())
+    except (cli._UsageError, SystemExit):
+        return None
+
+
+def outcome(argv):
+    """main's exit code, stdout and stderr for argv, with empty stdin."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(""), io.StringIO(), io.StringIO()
+    try:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+def test_the_reader_declines_or_agrees_with_argparse(argv):
+    read = cli._read(list(argv))
+    if read is not None:
+        expected = argparse_namespace(argv)
+        assert type(read) is type(expected) is SimpleNamespace
+        assert vars(read) == vars(expected)
+    # main answers the same with the reader and with argparse alone.
+    with mock.patch.object(cli, "_read", lambda argv: None):
+        alone = outcome(argv)
+    assert outcome(argv) == alone
+
+
+@pytest.mark.parametrize("argv,expected", NAMESPACES)
+def test_the_reader_accepts_well_formed_command_lines(argv, expected):
+    assert vars(cli.config_from_args(cli._read(argv))) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--rank=2"],
+        ["decompose", "--ra", "2"],
+        ["decompose", "--rank", "-1"],
+        ["decompose", "--rank", "2", "--"],
+        ["decompose", "--rank", "2", "-h"],
+        ["iso", "a.beq", "-e", "x1 = 1", "b.beq"],
+        ["solve", "--rank", "2", "-e", "x1 = 1", "-f", "a.beq"],
+        ["solve", "--rank", "two"],
+        ["stats", "--format", "xml"],
+        ["stats", "--avg-irr", "4"],
+    ],
+)
+def test_the_reader_declines_what_argparse_must_word(argv):
+    assert cli._read(argv) is None
+
+
+def test_both_paths_return_one_namespace_type():
+    read = cli.build_parser().parse_args(["decompose", "--rank", "2"])
+    fallback = cli.build_parser().parse_args(["decompose", "--rank=2"])
+    assert type(read) is type(fallback) is SimpleNamespace
+    assert vars(read) == vars(fallback)

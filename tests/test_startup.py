@@ -77,6 +77,14 @@ def test_commands_load_the_parser_modules(argv):
     assert not modules & {"dataclasses", "inspect", "typing"}
 
 
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_well_formed_commands_build_no_argparse_parser(argv):
+    # The option table's reader parses these; argparse, and the gettext
+    # and locale lookups its parsers make, are left to help and errors.
+    modules = fresh_modules(f"import boolgeo.cli; boolgeo.cli.main({argv!r})")
+    assert not modules & {"argparse", "gettext", "locale"}
+
+
 def test_importtime_lists_every_boolgeo_module_loaded():
     # Submodules the package imports on attribute access (cli's
     # ``from . import geometry``) appear in the listing like the others.
@@ -126,6 +134,21 @@ def test_submodules_resolve_as_attributes():
 CLI = f"import sys; sys.path.insert(0, {SRC!r}); from boolgeo.cli import main; sys.exit(main())"
 # Buffered stdout, as a pipe gets it by default.
 BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["--help"], 0, "usage: boolgeo [-h] command ...\n", ""),
+        (["decompose"], 4, "", "error: the following arguments are required: --rank\n"),
+    ],
+)
+def test_help_and_usage_errors_in_a_fresh_process(argv, code, out, err):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", CLI, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == code
+    assert proc.stdout.startswith(out) and proc.stderr == err
 
 
 @pytest.mark.parametrize("env", [BUFFERED, {**BUFFERED, "PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
