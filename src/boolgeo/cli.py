@@ -22,6 +22,8 @@ import math
 import operator
 import os
 import sys
+from functools import lru_cache
+from itertools import repeat
 from types import SimpleNamespace
 
 from . import geometry, solve
@@ -35,12 +37,12 @@ from .errors import (
     RankMismatchError,
     SystemMismatchError,
 )
-# perfbench/tracing.py wraps parse_system, orthogonalize and x_from_z in
-# this module's namespace, so x_from_z stays imported though solve output
-# no longer calls it.
+# perfbench/tracing.py wraps parse_system, orthogonalize and x_from_z here;
+# x_from_z is imported for that alone.
 from .ortho import (  # noqa: F401
     MAX_VARS_ENV,
     OrthogonalSystem,
+    _decimals,
     check_var_limit,
     mask_text,
     minterm_labels,
@@ -65,16 +67,15 @@ MAX_COMPONENTS = 10**6
 
 # stats refuses (exit 2) an exact value whose cost exceeds this, about 2 s:
 # m * (r + _AVG_IRR_TEXT_COST) for --avg-irr, and _STATS_COST_PER_M2 times
-# m * m for --avg-ir and --iso-prob.  --avg-irr walks r + 1 binomials of up
-# to m bits, r big-int steps on m-bit numbers (1.4 s at m = r = 70000),
-# then writes two m-bit integers in decimal at about the cost of
-# _AVG_IRR_TEXT_COST walk steps per bit (1.4 s at m = 9.7 * 10**6).  The
-# other two are closed forms, cheap at their limits (m <= 70710 and 25000):
-# --avg-ir's m/2 costs nothing, and --iso-prob's comb(2m, m), 4**m, their
-# reduced fraction and its decimal text take 0.04 s at m = 25000 on a
-# 2-vCPU machine (0.1 s for the whole process).
+# m * m for --iso-prob.  --avg-irr walks r + 1 binomials of up to m bits, r
+# big-int steps on m-bit numbers (1.4 s at m = r = 70000), then writes two
+# m-bit integers in decimal at about the cost of _AVG_IRR_TEXT_COST walk
+# steps per bit (1.4 s at m = 9.7 * 10**6).  --iso-prob's closed form
+# comb(2m, m) / 4**m, reduced, and its decimal text take 0.04 s at its
+# limit m = 25000 on a 2-vCPU machine (0.1 s for the whole process).
+# --avg-ir's m/2 costs nothing at any m and has no limit.
 MAX_STATS_COST = 5 * 10**9
-_STATS_COST_PER_M2 = {"avg-ir": 1, "iso-prob": 8}
+_STATS_COST_PER_M2 = {"iso-prob": 8}
 _AVG_IRR_TEXT_COST = 512
 # --samples N draws N masks of m random bits (2N for --iso-prob), each at
 # about the cost of m + _DRAW_COST bits, and refuses (exit 2) more than
@@ -365,17 +366,16 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
         headers = list(system.variables)
     else:
         headers = [f"x{i + 1}" for i in range(o.n)]
-    # A format is the text of a cell's mask, an opening, a closing and a
-    # prefix per column of each point, and a column and a point separator;
-    # the bytes are those of printing each ZPoint or XPoint, of csv.writer
-    # rows or of json.dumps of the whole payload.
-    opening, closing, between, separator, ending = "", "\n", " ", "", ""
+    # A point is an opening, a prefix and a cell text per column joined by
+    # ``between``, and a closing; the bytes are those of printing each ZPoint
+    # or XPoint, of csv.writer rows or of json.dumps of the whole payload.
+    opening, between, closing, separator, ending = "", " ", "\n", "", ""
     prefixes = [""] * len(headers)
     if args.fmt == "json":
         import json
 
         make = lambda mask: json.dumps(list(Element(mask, rank).atoms()))  # noqa: E731
-        opening, closing, between, separator, ending = "{", "}", ", ", ", ", "]}\n"
+        opening, between, closing, separator, ending = "{", ", ", "}", ", ", "]}\n"
         if args.z_space:
             opening, closing = '{"cells": [', "]}"
         else:
@@ -396,51 +396,84 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
         make = lambda mask: str(Element(mask, rank))  # noqa: E731
         prefixes = [h + "=" for h in headers]
 
-    # A batch is every row of the tail table under one head, written by one
-    # str.join over a fixed layout: literal texts with an empty slot between
-    # each two.  Every row has the same literals, so the layout is built by
-    # list repetition.  A slot value is keyed by column and tail mask; a
-    # head looks each distinct one up once in a per-run cache of cell texts
-    # and spreads them into the slots with one itemgetter.  The last batch
-    # under --limit gets a layout of its first rows.
     total = solve.count_solutions(o, rank)
     if args.limit is not None:
         total = min(total, args.limit)
     tails, heads = solve.split_atoms(o, rank, z_space=args.z_space, points=total)
-    cells, lead = solve.MaskCache(make), ""
-    if len(tails) == 1:
-        # A one-row table places no atom, so each head is one point; joining
-        # its cells is cheaper than filling a layout.
-        for _, head in zip(range(total), heads):
-            texts = map(operator.add, prefixes, map(cells.__getitem__, head))
-            out.write(lead + opening + between.join(texts) + closing)
-            lead = separator
-    else:
-        slots = solve.MaskCache(lambda key: len(slots))
-        fields = [slots[key] for tail in tails for key in enumerate(tail)]
-        columns, tail_masks = [c for c, _ in slots], [m for _, m in slots]
-        row = [between + prefix for prefix in prefixes[1:]]
-        row.append(closing + separator + opening + prefixes[0])
+    # A cell is the head's mask OR the tail row's in its column: a head ORs
+    # each distinct (column, tail mask) pair once and looks up its text in a
+    # per-run cache that renders each distinct cell once.
+    slots = solve.MaskCache(lambda key: len(slots))
+    after = [between + prefix for prefix in prefixes[1:]] + [closing]
+    rows = {t: ([slots[key] for tail in table for key in enumerate(tail)], after * len(table))
+            for t, table in tails.items()}  # fmt: skip
+    columns, masks, cells = [c for c, _ in slots], [m for _, m in slots], solve.MaskCache(make)
 
-        def layout(rows):
-            parts = [""] * (2 * len(row) * rows + 1)
-            parts[::2] = [opening + prefixes[0], *row * rows]
-            parts[-1] = closing
-            picked = fields[: len(row) * rows]
-            if len(picked) == 1:  # itemgetter of one index returns no tuple
-                return parts, lambda texts: (texts[picked[0]],)
-            return parts, operator.itemgetter(*picked)
+    def fill(head):
+        joined = map(operator.or_, map(head.__getitem__, columns), masks)
+        return list(map(cells.__getitem__, joined))
 
-        full, rest = divmod(total, len(tails))
-        parts, pick = layout(len(tails))
-        for k, head in zip(range(full + (rest > 0)), heads):
-            if k == full:
-                parts, pick = layout(rest)
-            masks = map(operator.or_, map(head.__getitem__, columns), tail_masks)
-            parts[1::2] = pick(list(map(cells.__getitem__, masks)))
-            out.write(lead + "".join(parts))
-            lead = separator
+    _write_groups(out, heads, total, rows, len(headers), fill, opening + prefixes[0], separator)
     out.write(ending)
+
+
+@lru_cache(maxsize=4)
+def _number_block(k: int) -> tuple[str, ...]:
+    """The texts of the numbers 1000k to 1000k + 999, built once per block."""
+    return tuple(str(k) + d for d in _decimals(3)) if k else _decimals(1)
+
+
+def _write_groups(out, heads, total, rows, width, fill, opening, separator, numbering=None):
+    """Writes the first ``total`` items of a split, one ``str.join`` per group.
+
+    ``heads`` yields (head, key); the head's group has an item per ``width``
+    slots of ``rows[key]``: the indices of their texts in ``fill(head)`` and
+    the literal after each.  An item is ``opening``, its number from 1 and
+    ``numbering`` unless that is None, then its slots; ``separator`` joins
+    items.  The literals are laid out once per key (and for a last group cut
+    short) around empty slots that one ``operator.itemgetter`` fills."""
+    numbered = numbering is not None
+    step = width + numbered
+
+    def layout(key, count):
+        slots, afters = rows[key]
+        end = count * width
+        picks, literals = slots[:end], afters[:end]
+        if numbered:
+            picks, literals = [0] * (step * count), [numbering] * (step * count)
+            picks[::step] = range(-count, 0)
+            for j in range(width):
+                picks[j + 1 :: step] = slots[j:end:width]
+                literals[j + 1 :: step] = afters[j:end:width]
+        ends = slice(step - 1, -1, step)
+        literals[ends] = map(operator.add, literals[ends], repeat(separator + opening))
+        parts = [""] * (2 * len(literals) + 1)
+        parts[::2] = [opening, *literals]
+        if len(picks) == 1:  # itemgetter of one index returns no tuple
+            return parts, lambda texts: (texts[picks[0]],), count
+        return parts, operator.itemgetter(*picks), count
+
+    def numbers(first, count):
+        texts = []
+        while len(texts) < count:
+            block, start = divmod(first + len(texts), 1000)
+            texts += _number_block(block)[start : start + count - len(texts)]
+        return texts
+
+    layouts = solve.MaskCache(lambda key: layout(key, len(rows[key][0]) // width))
+    lead, written = "", 0
+    for head, key in heads if total else ():
+        parts, pick, count = layouts[key]
+        if count > total - written:  # the last group, cut short
+            parts, pick, count = layout(key, total - written)
+        texts = fill(head)
+        if numbered:
+            texts += numbers(written + 1, count)
+        parts[1::2] = pick(texts)
+        out.write(lead + "".join(parts))
+        lead, written = separator, written + count
+        if written == total:
+            break
 
 
 def _cmd_decompose(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
@@ -452,63 +485,34 @@ def _cmd_decompose(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
             f"decomposition into {len(parts)} components exceeds the limit "
             f"{MAX_COMPONENTS}"
         )
-    # A component's forced zeros are its head's, then its tail's
-    # (Decomposition.split): each head and each table mask is rendered
-    # once, a tail text after a nonempty head text gets a leading
-    # separator, and the components that share a head are written by one
-    # str.join over their table row.  The bytes are those of json.dumps of
-    # the whole payload, of csv.writer rows and of one print per component.
-    separator = {"json": ", ", "csv": " "}.get(args.fmt, " = 0, ")
-    render = mask_text(o.n, separator, labels=args.fmt == "text")
+    # A component is an opening, in csv and text its number, its forced
+    # zeros and a closing, or else the text of a component without forced
+    # zeros; the bytes are those of json.dumps of the whole payload, of
+    # csv.writer rows and of one print per component.  Its forced zeros are
+    # its head's text, then its table entry's (Decomposition.split), with
+    # ``between`` where both are nonempty: each is rendered once.
+    header, opening, between, closing, separator, numbering, empty, ending = {
+        "json": (f'{{"layout": "lsb-first", "n": {o.n}, "rank": {args.rank}, "components": [',
+                 f'{{"n": {o.n}, "A": [', ", ", "]}", ", ", None, "]}", "]}\n"),
+        "csv": ("component,zeroed\n", "", " ", "\n", "", ",", "\n", ""),
+        "text": ("", "component ", " = 0, ", " = 0\n", "", ": ", "(no forced-zero minterms)\n", ""),
+    }[args.fmt]  # fmt: skip
+    out.write(header)
+    render = mask_text(o.n, between, labels=args.fmt == "text")
     tails, heads = parts.split()
     texts = {q: list(map(render, masks)) for q, masks in tails.items()}
 
     def row(key):
-        # The texts of the table row for |Q| = q after a head text that is
-        # nonempty (joined) or empty; each is built on first use.
+        # The entries for |Q| = q after a nonempty head text (joined) or not.
         q, joined = key
-        if not joined:
-            return texts[q]
-        return [separator + text if text else "" for text in texts[q]]
+        pieces = [(between if joined and text else "") + text for text in texts[q]]
+        return [0] * len(pieces), [piece + closing if joined or piece else empty for piece in pieces]
 
-    if args.fmt == "json":
-        rows = solve.MaskCache(row)
-        opening = f'{{"n": {o.n}, "A": ['
-        out.write(f'{{"layout": "lsb-first", "n": {o.n}, "rank": {args.rank}, "components": [')
-        lead = ""
-        for head, q in heads:
-            text = render(head)
-            between = "]}, " + opening + text
-            out.write(lead + opening + text + between.join(rows[q, bool(text)]) + "]}")
-            lead = ", "
-        out.write("]}\n")
-        return
-    # A numbered row is laid out as a literal, the number, the head text and
-    # the tail text per component; a group fills in numbers and head text.
-    # An empty text after an empty head is a component without forced zeros.
-    if args.fmt == "csv":
-        out.write("component,zeroed\n")
-        literal, before, after, empty = "", ",", "\n", "\n"
-    else:
-        literal, before, after = "component ", ": ", " = 0\n"
-        empty = "(no forced-zero minterms)\n"
-
-    def layout(key):
-        pieces = [text + after if text or key[1] else empty for text in row(key)]
-        slots = [literal, "", "", ""] * len(pieces)
-        slots[3::4] = pieces
-        return slots
-
-    layouts = solve.MaskCache(layout)
-    number = 1
-    for head, q in heads:
-        text = render(head)
-        slots = layouts[q, bool(text)]
-        size = len(slots) // 4
-        slots[1::4] = map(str, range(number, number + size))
-        slots[2::4] = [before + text] * size
-        out.write("".join(slots))
-        number += size
+    heads = ((head, (q, head != 0)) for head, q in heads)
+    fill = lambda head: [render(head)]  # noqa: E731
+    _write_groups(out, heads, len(parts), solve.MaskCache(row), 1, fill, opening, separator,
+                  numbering)  # fmt: skip
+    out.write(ending)
 
 
 def _cmd_classify(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
@@ -616,9 +620,10 @@ def _cmd_stats(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     jobs += [("iso-prob", m, None) for m in args.iso_prob or ()]
     labels = [f"{kind} m={m}" + ("" if r is None else f" r={r}") for kind, m, r in jobs]
     for (kind, m, r), label in zip(jobs, labels):
-        if r is None:
+        limit = m  # --avg-ir has no limit
+        if kind in _STATS_COST_PER_M2:
             limit = math.isqrt(MAX_STATS_COST // _STATS_COST_PER_M2[kind])
-        else:
+        elif r is not None:
             # stats refuses r < 1 (exit 4); max keeps the divisor positive.
             limit = MAX_STATS_COST // (max(r, 1) + _AVG_IRR_TEXT_COST)
         if m > limit:

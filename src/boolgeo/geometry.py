@@ -18,13 +18,7 @@ from math import comb
 from .algebra import check_rank
 from .errors import InconsistentSystemError, SystemMismatchError
 from .ortho import MintermIndex, OrthogonalSystem, _mask_from_indices
-from .solve import is_consistent
-
-
-# Cap on the tail table of a decomposition, in minterm cells (entries times
-# 2**n): up to 1024 entries at 4 variables, 8 at 11, and past 13 only the
-# one entry of an empty tail.
-_TAIL_TABLE_CELLS = 1 << 14
+from .solve import _joined, _tail_size, is_consistent
 
 
 class Decomposition(Sequence[OrthogonalSystem]):
@@ -66,13 +60,21 @@ class Decomposition(Sequence[OrthogonalSystem]):
         are contiguous, and they come in the order of P followed by a
         position past the head.
 
-        t is the tail size that needs the fewest masks (table entries plus
-        heads) while the table stays under ``_TAIL_TABLE_CELLS``; t = 0
-        makes one head per component.
+        t is :func:`~boolgeo.solve._tail_size` of the C(s, k) components;
+        t = 0 makes one head per component.
         """
         survivors, k, n = self._survivors, self._extra, self.system.n
-        t = _tail_size(len(survivors), k, 1 << n, self._count)
-        h = len(survivors) - t
+        s = len(survivors)
+
+        def counts(t):
+            # The entries are the subsets Q of the tail that leave at most
+            # h = s - t survivors to the head, and the heads the parts P.
+            sizes = range(max(k - t, 0), min(k, s - t) + 1)
+            return sum(comb(t, k - p) for p in sizes), sum(comb(s - t, p) for p in sizes)
+
+        # With k = 0 there is one component, the system itself.
+        t = _tail_size(counts, s - 1 if k else 0, 1 << n)
+        h = s - t
         zeros = self.system.zeroed_mask
         low = zeros & ((1 << survivors[h]) - 1) if t else zeros
         lo, hi = max(k - t, 0), min(k, h)
@@ -85,9 +87,7 @@ class Decomposition(Sequence[OrthogonalSystem]):
 
     def masks(self) -> Iterator[int]:
         """The forced-zero mask of each component, in sequence order."""
-        tails, heads = self.split()
-        for head, q in heads:
-            yield from map(head.__or__, tails[q])
+        yield from _joined(self.split(), operator.or_)
 
     def __iter__(self) -> Iterator[OrthogonalSystem]:
         return map(partial(OrthogonalSystem, self.system.n), self.masks())
@@ -127,27 +127,6 @@ class Decomposition(Sequence[OrthogonalSystem]):
             f"Decomposition(n={self.system.n}, zeroed={self.system.num_zeroed}, "
             f"rank={self.rank}, components={self._count})"
         )
-
-
-def _tail_size(s: int, k: int, width: int, count: int) -> int:
-    """The tail size t for :meth:`Decomposition.split` of ``count`` =
-    C(s, k) components of ``width`` minterms: the fewest table entries
-    plus heads, the smallest t on a tie, under ``_TAIL_TABLE_CELLS``."""
-    best, fewest = 0, count + 1
-    # The entries are the subsets Q of the tail that leave at most h
-    # survivors to the head; their number never falls as t grows.  With
-    # k = 0 there is one component, the system itself, and one entry at
-    # every t.
-    for t in range(1, s if k else 1):
-        h = s - t
-        sizes = range(max(k - t, 0), min(k, h) + 1)
-        entries = sum(comb(t, k - p) for p in sizes)
-        if entries * width > _TAIL_TABLE_CELLS:
-            break
-        renders = entries + sum(comb(h, p) for p in sizes)
-        if renders < fewest:
-            best, fewest = t, renders
-    return best
 
 
 def _heads(

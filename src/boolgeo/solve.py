@@ -19,10 +19,10 @@ from .ortho import OrthogonalSystem, XPoint, ZPoint, orthogonalize
 from .syntax import System, Term, compile_term, run
 
 
-# Cap on the table of the fastest atoms' masks, in mask cells (rows times
-# columns).  The table fills before the first point, so the cap bounds the
-# work a small --limit pays for it.
-_TAIL_TABLE_CELLS = 1 << 12
+# Cap on a split's tail table, in cells: entries times the cells of one
+# entry (solve's columns, a decomposition's 2**n minterms).  The table fills
+# before the first item is written.
+_TAIL_TABLE_CELLS = 1 << 14
 
 
 def _point_rank(point) -> int:
@@ -95,21 +95,38 @@ class MaskCache(dict):
         return value
 
 
+def _tail_size(counts: Callable[[int], tuple[int, int]], last: int, width: int) -> int:
+    """The tail size t of a split, given ``counts(t)``, the table entries
+    and heads at tail size t <= ``last``: the table grows while it has fewer
+    entries than heads and the next one fits in ``_TAIL_TABLE_CELLS`` cells
+    of ``width`` per entry, so that entries and heads meet near sqrt(items)."""
+    t, (entries, heads) = 0, counts(0)
+    while t < last and entries < heads:
+        entries, heads = counts(t + 1)
+        if entries * width > _TAIL_TABLE_CELLS:
+            break
+        t += 1
+    return t
+
+
+def _joined(split: tuple[dict, Iterator], join: Callable) -> Iterator:
+    """Each head of ``split`` (a table keyed by row and lazy (head, row key)
+    pairs) joined by ``join`` with each entry of its table row, in order."""
+    tails, heads = split
+    for head, key in heads:
+        yield from map(join, itertools.repeat(head), tails[key])
+
+
 def split_atoms(
     system: OrthogonalSystem, rank: int, *, z_space: bool = False, points: int | None = None
-) -> tuple[list[tuple[int, ...]], Iterator[list[int]]]:
-    """Split the atoms into the slowest (the head) and the fastest (the tail).
-
-    Returns the tail table, every placement of the fastest atoms as masks
-    of the columns x_1..x_n (with ``z_space`` the 2**n minterm cells), and
-    a lazy iterator of the masks of each placement of the slowest atoms.
-    Each head joined with each tail row, in order, gives the solutions
-    over the rank ``rank`` algebra in the order of :func:`solutions_z`.
-
-    The table grows while more than one minterm survives, it stays under
-    ``_TAIL_TABLE_CELLS`` and its length squared is below the number of
-    points to be written (``points``, at most s**r), which keeps it near
-    sqrt(points) rows.
+) -> tuple[dict[int, list[tuple[int, ...]]], Iterator[tuple[list[int], int]]]:
+    """Split the atoms into the slowest (the head) and the t fastest (the
+    tail): the tail table {t: every placement of the fastest atoms as masks
+    of the columns x_1..x_n, or with ``z_space`` the 2**n minterm cells},
+    and a lazy iterator of (the masks of a placement of the slowest, t).
+    Each head joined with each row, in order, gives the solutions in the
+    order of :func:`solutions_z`.  t is :func:`_tail_size` for the points to
+    be written (``points``, at most s**r): about sqrt(points) rows.
     """
     check_rank(rank)
     surviving = system.surviving
@@ -130,15 +147,13 @@ def split_atoms(
         return row
 
     points = s**rank if points is None else min(points, s**rank)
+    t = _tail_size(lambda t: (s**t, -(-points // s**t)), rank, width)
     zeros = (0,) * width
-    slow, tails = rank, [zeros]
-    while slow and s > 1 and len(tails) ** 2 < points and (
-        len(tails) * s * width <= _TAIL_TABLE_CELLS
-    ):
-        slow -= 1
-        tails = [tuple(place(tail, [(slow, alpha)])) for alpha in surviving for tail in tails]
-    heads = itertools.product(surviving, repeat=slow)
-    return tails, (place(zeros, enumerate(head)) for head in heads)
+    tails = [zeros]
+    for atom in reversed(range(rank - t, rank)):
+        tails = [tuple(place(tail, [(atom, alpha)])) for alpha in surviving for tail in tails]
+    heads = itertools.product(surviving, repeat=rank - t)
+    return {t: tails}, ((place(zeros, enumerate(head)), t) for head in heads)
 
 
 def solution_masks(
@@ -150,16 +165,10 @@ def solution_masks(
 
     Each point joins the masks of its slowest atoms, built once per
     prefix, with one row of the table of the fastest atoms
-    (:func:`split_atoms`); the table stays under ``_TAIL_TABLE_CELLS``,
-    so the stream stays lazy.
+    (:func:`split_atoms`), so the stream stays lazy.
     """
-    tails, heads = split_atoms(system, rank, z_space=z_space)
-    if len(tails) == 1:  # the table places no atom: each head is a point
-        yield from map(tuple, heads)
-        return
-    for head in heads:
-        for tail in tails:
-            yield tuple(map(or_, head, tail))
+    split = split_atoms(system, rank, z_space=z_space)
+    yield from _joined(split, lambda head, tail: tuple(map(or_, head, tail)))
 
 
 def solutions_z(system: OrthogonalSystem, rank: int) -> Iterator[ZPoint]:

@@ -39,7 +39,7 @@ from boolgeo import (
     iso_pair_probability,
     sample_systems,
 )
-from boolgeo import cli, geometry, stats
+from boolgeo import cli, geometry, solve, stats
 from boolgeo.cli import MAX_COMPONENTS, build_parser, config_from_args, run
 from boolgeo.ortho import format_minterm
 
@@ -359,9 +359,10 @@ def stats_m_limit(kind):
 @pytest.mark.parametrize(
     "argv,kind,m",
     [
-        (["stats", "--avg-ir", "200000"], "avg-ir", 200000),
+        # --avg-ir has no cost limit (test_stats_avg_ir_has_no_cost_limit).
+        (["stats", "--avg-ir", "200000", "--iso-prob", "50001"], "iso-prob", 50001),
         (["stats", "--iso-prob", "50000"], "iso-prob", 50000),
-        (["stats", "--avg-ir", "4,80000", "--format", "json"], "avg-ir", 80000),
+        (["stats", "--iso-prob", "4,80000", "--format", "json"], "iso-prob", 80000),
         (["stats", "--iso-prob", "8,25001", "--samples", "10", "--format", "csv"], "iso-prob", 25001),
         (["stats", "--avg-irr", "4", "2", "--iso-prob", str(10**9)], "iso-prob", 10**9),
     ],
@@ -377,11 +378,32 @@ def test_stats_past_the_cost_limit_exits_2(argv, kind, m):
 
 
 def test_stats_at_the_cost_limit_is_refused_one_past_it():
-    for kind in ("avg-ir", "iso-prob"):
-        m = stats_m_limit(kind)
-        assert cli._STATS_COST_PER_M2[kind] * m * m <= cli.MAX_STATS_COST
-        code, out, _ = invoke(["stats", f"--{kind}", str(m + 1)])
-        assert (code, out) == (2, "")
+    m = stats_m_limit("iso-prob")
+    assert cli._STATS_COST_PER_M2["iso-prob"] * m * m <= cli.MAX_STATS_COST
+    code, out, _ = invoke(["stats", "--iso-prob", str(m + 1)])
+    assert (code, out) == (2, "")
+    # --avg-ir's m/2 is priced at nothing: one past its old limit is answered.
+    code, out, _ = invoke(["stats", "--avg-ir", "70711"])
+    assert (code, out) == (0, "70711/2 (35355.5)\n")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["--avg-ir", "200000"], "100000 (100000.0)\n"),
+        (["--avg-ir", "4,80000", "--format", "json"],
+         '{"results": [{"kind": "avg-ir", "m": 4, "exact": "2", "approx": 2.0}, '
+         '{"kind": "avg-ir", "m": 80000, "exact": "40000", "approx": 40000.0}]}\n'),
+        (["--avg-ir", str(10**300)], f"{10**300 // 2} (5e+299)\n"),
+    ],
+    ids=["avg-ir-200000", "avg-ir-80000-json", "avg-ir-10e300"],
+)  # fmt: skip
+def test_stats_avg_ir_has_no_cost_limit(argv, expected):
+    start = time.perf_counter()
+    code, out, err = invoke(["stats", *argv])
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (0, expected, "")
+    assert elapsed < 1.0, f"{argv} took {elapsed:.2f}s"
 
 
 def test_decompose_below_the_component_cap_is_written():
@@ -569,9 +591,9 @@ def test_stats_m_not_a_power_of_two_exits_4_before_any_exact_value(argv, flag, m
 
 
 def test_stats_limit_error_wins_over_a_power_of_two_error():
-    code, out, err = invoke(["stats", "--avg-ir", "80000", "--samples", "10"])
+    code, out, err = invoke(["stats", "--iso-prob", "80000", "--samples", "10"])
     assert (code, out) == (2, "")
-    assert err == f"error: --avg-ir m=80000 exceeds the limit m <= {stats_m_limit('avg-ir')}\n"
+    assert err == f"error: --iso-prob m=80000 exceeds the limit m <= {stats_m_limit('iso-prob')}\n"
 
 
 # --- decompositions at census sizes, group by group ------------------------------------
@@ -655,7 +677,7 @@ def test_split_renders_fewer_masks_under_the_cell_cap(case):
     tails, heads = parts.split()
     entries = sum(map(len, tails.values()))
     assert entries + sum(1 for _ in heads) < len(parts)
-    assert entries << o.n <= geometry._TAIL_TABLE_CELLS
+    assert entries << o.n <= solve._TAIL_TABLE_CELLS
 
 
 def test_split_cases_reach_an_empty_head_and_an_empty_tail_region():
@@ -672,19 +694,25 @@ def test_cell_cap_holds_the_table_of_wide_minterm_spaces(name):
     parts = decompose(*SPLIT_CASES[name])
     capped = table_entries(parts)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "_TAIL_TABLE_CELLS", 1 << 40)
+        patch.setattr(solve, "_TAIL_TABLE_CELLS", 1 << 40)
         assert table_entries(parts) > capped > 1
 
 
 @pytest.mark.parametrize("n", range(10, 17))
 def test_wide_decompositions_render_one_head_per_component(n):
     # Survivors at the block edges split into 1-3 components, as the wide
-    # benchmark's do; the table holds the empty tail only.
+    # benchmark's do.  Past 13 variables two entries of 2**n cells pass the
+    # cap, so the table holds the empty tail only and each head is a
+    # component; below, the table may hold a few entries.
     size = 1 << n
     cases = (((5, size - 1), 2), ((5, size - 1), 1), ((0, 999, size - 1), 2), ((3, 1000, size - 2), 1))
     for survivors, rank in cases:
         parts = decompose(planted(n, survivors), rank)
         tails, heads = parts.split()
-        assert tails == {0: [0]}
         expected = [c.zeroed_mask for c in ref_components(parts.system, rank)]
-        assert [head for head, _ in heads] == expected
+        if n >= 14:
+            assert tails == {0: [0]}
+            assert [head for head, _ in heads] == expected
+        else:
+            assert sum(map(len, tails.values())) << n <= solve._TAIL_TABLE_CELLS
+        assert list(parts.masks()) == expected

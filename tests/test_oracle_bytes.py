@@ -1,0 +1,103 @@
+"""The CLI's grouped enumerations byte for byte against the benchmark oracle.
+
+``perfbench/oracle.py`` derives every expected ``solve`` and ``decompose``
+output with plain stdlib code and imports no boolgeo, so it is an
+independent reference for the bytes that the split tables and the grouped
+writer produce.  It is loaded by path: ``perfbench`` is not a package.
+"""
+
+import importlib.util
+import io
+import json
+from math import comb
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boolgeo.cli import build_parser, config_from_args, run
+
+_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_oracle", _PATH)
+oracle = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracle)
+
+BOUNDED = settings(max_examples=40, deadline=None)
+FORMATS = ["text", "csv", "json"]
+
+
+def invoke(argv, stdin_text):
+    cfg = config_from_args(build_parser().parse_args(argv))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(cfg, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def systems(draw, max_n, min_survivors=0):
+    """(n, forced-zero mask) with at least ``min_survivors`` survivors."""
+    n = draw(st.integers(1, max_n))
+    size = 1 << n
+    mask = draw(st.integers(0, (1 << size) - 1))
+    while size - mask.bit_count() < min_survivors:
+        mask &= mask - 1
+    return n, mask
+
+
+def json_input(n, mask):
+    return json.dumps({"n": n, "A": oracle.set_bits(mask)})
+
+
+def batch_edges(s, r):
+    """Limits within 1 of 1 and 2 whole tables of s**i rows, past 0."""
+    edges = {k for i in range(r + 1) for w in (s**i, 2 * s**i) for k in (w - 1, w, w + 1)}
+    return sorted(k for k in edges if k > 0)
+
+
+@BOUNDED
+@given(
+    case=systems(max_n=3),
+    rank=st.integers(1, 4),
+    fmt=st.sampled_from(FORMATS),
+    z_space=st.booleans(),
+    data=st.data(),
+)
+def test_solve_bytes_match_the_oracle(case, rank, fmt, z_space, data):
+    n, mask = case
+    s = (1 << n) - mask.bit_count()
+    while rank > 1 and s**rank > 400:
+        rank -= 1
+    count = s**rank
+    limit = data.draw(st.sampled_from([None, 0, *batch_edges(s, rank)]))
+    argv = ["solve", "--rank", str(rank), "--format", fmt]
+    if z_space:
+        argv.append("--z")
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    code, out, err = invoke(argv, json_input(n, mask))
+    shown = count if limit is None else min(count, limit)
+    names = [f"x{i + 1}" for i in range(n)]
+    assert (code, err) == (0, "")
+    assert out == oracle.solve_output(n, mask, rank, shown, fmt, z_space, names)
+
+
+@BOUNDED
+@given(case=systems(max_n=5, min_survivors=1), rank=st.integers(1, 6), fmt=st.sampled_from(FORMATS))
+def test_decompose_bytes_match_the_oracle(case, rank, fmt):
+    n, mask = case
+    s = (1 << n) - mask.bit_count()
+    while rank < s and comb(s, rank) > 3000:
+        rank += 1
+    argv = ["decompose", "--rank", str(rank), "--format", fmt]
+    code, out, err = invoke(argv, json_input(n, mask))
+    assert (code, err) == (0, "")
+    assert out == oracle.decompose_output(n, mask, rank, fmt)
+
+
+def test_decompose_numbers_cross_the_thousand_edge():
+    # C(17, 4) = 2380 components number through 999 -> 1000 and 1999 -> 2000.
+    mask = sum(1 << a for a in (0, 3, 4, 9, 10, 12, 17, 20, 21, 23, 26, 28, 29, 30, 31))
+    for fmt in FORMATS:
+        code, out, err = invoke(["decompose", "--rank", "4", "--format", fmt], json_input(5, mask))
+        assert (code, err) == (0, "")
+        assert out == oracle.decompose_output(5, mask, 4, fmt)

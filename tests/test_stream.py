@@ -246,6 +246,12 @@ def small_streams(draw, max_points=300):
     return o, rank
 
 
+def table_rows(o, rank, z_space=False, points=None):
+    """The rows of the one tail-table key that split_atoms returns."""
+    (rows,) = split_atoms(o, rank, z_space=z_space, points=points)[0].values()
+    return len(rows)
+
+
 def batch_edge_limits(o, rank, z_space):
     """Every --limit within 2 of 1, 2 or 3 whole batches, where a batch is
     the tail table (s**i rows) that a run with that limit renders."""
@@ -254,8 +260,7 @@ def batch_edge_limits(o, rank, z_space):
     for i in range(rank + 1):
         for whole in (s**i, 2 * s**i, 3 * s**i):
             for limit in range(max(whole - 2, 0), whole + 3):
-                tails, _ = split_atoms(o, rank, z_space=z_space, points=limit)
-                if len(tails) == s**i:
+                if table_rows(o, rank, z_space, limit) == s**i:
                     limits.add(limit)
     return sorted(limits)
 
@@ -295,7 +300,7 @@ def test_cli_solve_limit_at_batch_edges(case, fmt, z_space):
 )
 def test_cli_solve_limit_at_batch_edges_of_grown_tables(o, rank, z_space, fmt):
     limits = batch_edge_limits(o, rank, z_space)
-    assert any(len(split_atoms(o, rank, z_space=z_space, points=k)[0]) > 1 for k in limits)
+    assert any(table_rows(o, rank, z_space, k) > 1 for k in limits)
     for limit in limits:
         check_json_input(o, rank, fmt, z_space, limit)
 
@@ -307,8 +312,7 @@ def test_cli_solve_single_survivor(rank, z_space, fmt):
     # One point; at rank 64 the table must not grow over the 64 atoms.
     for n, alpha in [(1, 0), (1, 1), (3, 5), (4, 9)]:
         o = OrthogonalSystem(n, ((1 << (1 << n)) - 1) & ~(1 << alpha))
-        tails, _ = split_atoms(o, rank, z_space=z_space)
-        assert len(tails) == 1
+        assert table_rows(o, rank, z_space) == 1
         for limit in (None, 0, 1, 2):
             check_json_input(o, rank, fmt, z_space, limit)
 
@@ -320,7 +324,7 @@ def test_cli_solve_one_field_batches(rank, limit, fmt):
     # --limit 3 (2 rows) and rank 3 with --limit 5 (4 rows) leave a last
     # batch of one field.
     o = OrthogonalSystem(1, 0)
-    assert len(split_atoms(o, rank, points=limit)[0]) > 1
+    assert table_rows(o, rank, points=limit) > 1
     check_json_input(o, rank, fmt, False, limit)
 
 
@@ -374,7 +378,7 @@ def test_cli_solve_z_with_wide_rows(zeroed, fmt):
     # 2**12 cells per point keep the tail table at one row, so each point is
     # written by joining its cells.
     o = OrthogonalSystem.from_indices(12, zeroed)
-    assert len(split_atoms(o, 2, z_space=True, points=7)[0]) == 1
+    assert table_rows(o, 2, True, 7) == 1
     check_json_input(o, 2, fmt, True, 7)
 
 
