@@ -428,48 +428,47 @@ def _write_groups(out, heads, total, rows, width, fill, opening, separator, numb
 
     ``heads`` yields (head, key); the head's group has an item per ``width``
     slots of ``rows[key]``: the indices of their texts in ``fill(head)`` and
-    the literal after each.  An item is ``opening``, its number from 1 and
-    ``numbering`` unless that is None, then its slots; ``separator`` joins
-    items.  The literals are laid out once per key (and for a last group cut
-    short) around empty slots that one ``operator.itemgetter`` fills."""
+    the literal after each.  An item is ``opening``, then its slots;
+    ``separator`` joins items.  With ``numbering``, items have one slot,
+    after their number from 1 and ``numbering``.  The literals are laid out
+    once per key (and for a last group cut short) around empty slots, which
+    one ``operator.itemgetter`` and, for numbers, one slice of a block of a
+    thousand texts fill."""
     numbered = numbering is not None
-    step = width + numbered
+    step = 2 * (width + numbered)  # the parts of one item
+    texts_at = slice(3, None, 4) if numbered else slice(1, None, 2)
 
     def layout(key, count):
         slots, afters = rows[key]
         end = count * width
-        picks, literals = slots[:end], afters[:end]
+        picks, afters = (slots, afters) if end == len(slots) else (slots[:end], afters[:end])
+        parts = [""] * (count * step + 1)
+        parts[0] = opening
         if numbered:
-            picks, literals = [0] * (step * count), [numbering] * (step * count)
-            picks[::step] = range(-count, 0)
-            for j in range(width):
-                picks[j + 1 :: step] = slots[j:end:width]
-                literals[j + 1 :: step] = afters[j:end:width]
-        ends = slice(step - 1, -1, step)
-        literals[ends] = map(operator.add, literals[ends], repeat(separator + opening))
-        parts = [""] * (2 * len(literals) + 1)
-        parts[::2] = [opening, *literals]
+            parts[2::4], parts[4::4] = [numbering] * count, afters
+        else:
+            parts[2::2] = afters
+        ends = slice(step, -1, step)
+        parts[ends] = map(operator.add, parts[ends], repeat(separator + opening))
         if len(picks) == 1:  # itemgetter of one index returns no tuple
             return parts, lambda texts: (texts[picks[0]],), count
         return parts, operator.itemgetter(*picks), count
 
-    def numbers(first, count):
-        texts = []
-        while len(texts) < count:
-            block, start = divmod(first + len(texts), 1000)
-            texts += _number_block(block)[start : start + count - len(texts)]
-        return texts
-
     layouts = solve.MaskCache(lambda key: layout(key, len(rows[key][0]) // width))
-    lead, written = "", 0
+    lead, written, block, block_texts = "", 0, 0, _number_block(0)
     for head, key in heads if total else ():
         parts, pick, count = layouts[key]
         if count > total - written:  # the last group, cut short
             parts, pick, count = layout(key, total - written)
-        texts = fill(head)
         if numbered:
-            texts += numbers(written + 1, count)
-        parts[1::2] = pick(texts)
+            start = written + 1 - 1000 * block
+            texts = block_texts[start : start + count]
+            while len(texts) < count:  # the group passes a multiple of 1000
+                block += 1
+                block_texts = _number_block(block)
+                texts += block_texts[: count - len(texts)]
+            parts[1::4] = texts
+        parts[texts_at] = pick(fill(head))
         out.write(lead + "".join(parts))
         lead, written = separator, written + count
         if written == total:
@@ -500,18 +499,20 @@ def _cmd_decompose(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     out.write(header)
     render = mask_text(o.n, between, labels=args.fmt == "text")
     tails, heads = parts.split()
-    texts = {q: list(map(render, masks)) for q, masks in tails.items()}
+    # A head gives two texts: its own text and ``between`` (nothing for an
+    # empty head), for the entries with text, and its text ending the
+    # component, for the one entry that can be empty (Q and the forced zeros
+    # from the first tail survivor on both empty).
+    rows = {}
+    for q, masks in tails.items():
+        texts = list(map(render, masks))
+        rows[q] = [0 if text else 1 for text in texts], [text and text + closing for text in texts]
 
-    def row(key):
-        # The entries for |Q| = q after a nonempty head text (joined) or not.
-        q, joined = key
-        pieces = [(between if joined and text else "") + text for text in texts[q]]
-        return [0] * len(pieces), [piece + closing if joined or piece else empty for piece in pieces]
+    def fill(head):
+        text = render(head)
+        return (text + between, text + closing) if text else ("", empty)
 
-    heads = ((head, (q, head != 0)) for head, q in heads)
-    fill = lambda head: [render(head)]  # noqa: E731
-    _write_groups(out, heads, len(parts), solve.MaskCache(row), 1, fill, opening, separator,
-                  numbering)  # fmt: skip
+    _write_groups(out, heads, len(parts), rows, 1, fill, opening, separator, numbering)
     out.write(ending)
 
 
