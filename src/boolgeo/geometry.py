@@ -10,14 +10,14 @@ variables to zero.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from itertools import combinations
 from math import comb
 
 from .algebra import check_rank
 from .errors import InconsistentSystemError, SystemMismatchError
-from .ortho import MintermIndex, OrthogonalSystem, _mask_from_indices
+from .ortho import MintermIndex, OrthogonalSystem
 from .solve import _joined, _tail_size, is_consistent
 
 
@@ -41,7 +41,8 @@ class Decomposition(Sequence[OrthogonalSystem]):
         self.rank = rank
         self._extra = max(free - rank, 0)
         self._count = component_count(free, rank)
-        self._survivors = system.surviving
+        # An irreducible system is its own component: no survivors are listed.
+        self._survivors = system.surviving if self._extra else ()
 
     def __len__(self) -> int:
         return self._count
@@ -64,6 +65,9 @@ class Decomposition(Sequence[OrthogonalSystem]):
         t = 0 makes one head per component.
         """
         survivors, k, n = self._survivors, self._extra, self.system.n
+        zeros = self.system.zeroed_mask
+        if not k:
+            return {0: [0]}, iter([(zeros, 0)])
         s = len(survivors)
 
         def counts(t):
@@ -72,18 +76,16 @@ class Decomposition(Sequence[OrthogonalSystem]):
             sizes = range(max(k - t, 0), min(k, s - t) + 1)
             return sum(comb(t, k - p) for p in sizes), sum(comb(s - t, p) for p in sizes)
 
-        # With k = 0 there is one component, the system itself.
-        t = _tail_size(counts, s - 1 if k else 0, 1 << n)
+        t = _tail_size(counts, s - 1, 1 << n)
         h = s - t
-        zeros = self.system.zeroed_mask
-        low = zeros & ((1 << survivors[h]) - 1) if t else zeros
+        below = (1 << (survivors[h] if t else 1 << n)) - 1
+        low = zeros & below
         lo, hi = max(k - t, 0), min(k, h)
-        build = partial(_mask_from_indices, n)
         tails = {
-            q: list(map((zeros ^ low).__or__, map(build, combinations(survivors[h:], q))))
+            q: [zeros ^ low | _bits(survivors, tail) for tail in combinations(range(h, s), q)]
             for q in range(k - hi, k - lo + 1)
         }
-        return tails, _heads(n, survivors[:h], low, lo, hi, k)
+        return tails, _heads(survivors[:h], low, below, lo, hi, k)
 
     def masks(self) -> Iterator[int]:
         """The forced-zero mask of each component, in sequence order."""
@@ -100,9 +102,14 @@ class Decomposition(Sequence[OrthogonalSystem]):
             k += self._count
         if not 0 <= k < self._count:
             raise IndexError("component index out of range")
-        extra = map(self._survivors.__getitem__, _unrank(k, len(self._survivors), self._extra))
-        n = self.system.n
-        return OrthogonalSystem(n, self.system.zeroed_mask | _mask_from_indices(n, extra))
+        survivors, extra, n = self._survivors, self._extra, self.system.n
+        if extra <= self.rank:
+            added = _bits(survivors, _unrank(k, len(survivors), extra))
+            return OrthogonalSystem(n, self.system.zeroed_mask | added)
+        # With more survivors added than left free, clear the free ones; the
+        # sets of free ones run in reverse combination order.
+        free = _unrank(self._count - 1 - k, len(survivors), self.rank)
+        return OrthogonalSystem(n, ((1 << (1 << n)) - 1) ^ _bits(survivors, free))
 
     @property
     def components(self) -> tuple[OrthogonalSystem, ...]:
@@ -129,18 +136,29 @@ class Decomposition(Sequence[OrthogonalSystem]):
         )
 
 
+def _bits(minterms: Sequence[MintermIndex], positions: Iterable[int]) -> int:
+    """The mask of the minterms at a few positions, one OR each."""
+    mask = 0
+    for i in positions:
+        mask |= 1 << minterms[i]
+    return mask
+
+
 def _heads(
-    n: int, head: tuple[MintermIndex, ...], low: int, lo: int, hi: int, k: int
+    head: tuple[MintermIndex, ...], low: int, below: int, lo: int, hi: int, k: int
 ) -> Iterator[tuple[int, int]]:
     """(low | P, k - |P|) for each subset P of ``head`` with lo <= |P| <=
-    hi, in the order of P followed by a position past the head.
+    hi, in the order of P followed by a position past the head; ``below``
+    is low with every bit of ``head`` set.
 
     The sets that share their first lo positions are contiguous and end
     with those lo alone; below them a post-order walk adds up to hi - lo
     later positions, one bit per step."""
     h, depth = len(head), hi - lo
+    # With more than half of the head in P, clear the positions left out.
+    rest = frozenset(range(h)) if 2 * lo > h else None
     for first in combinations(range(h), lo):
-        masks = [low | _mask_from_indices(n, map(head.__getitem__, first))]
+        masks = [below ^ _bits(head, rest.difference(first)) if rest else low | _bits(head, first)]
         nexts = [first[-1] + 1 if first else 0]
         while masks:
             j = nexts[-1]

@@ -16,7 +16,7 @@ library, the JSON wire format and the CLI.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import compress, product
 
@@ -182,14 +182,21 @@ def _check_var_count(n: int) -> None:
         )
 
 
-def _mask_from_indices(n: int, indices: Iterable[MintermIndex]) -> int:
-    # Sets one ASCII digit per in-range index and converts once, instead of
-    # OR-ing 2**n-bit integers index by index.
+def _mask_from_indices(n: int, indices: Iterable[MintermIndex]) -> int | None:
+    """The mask with the bits at ``indices`` set, or None when an entry is
+    not an index in range(2**n); a bool passes as 0 or 1."""
+    # One ASCII digit per index, converted once.  The digits span twice the
+    # minterm space, so an out-of-range entry that raises nothing (a negative
+    # one counts back from the end) lands in the upper half.
     _check_var_count(n)
-    digits = bytearray(b"0") * (1 << n)
-    for alpha in indices:
-        digits[alpha] = 49  # ord("1")
-    return int(digits[::-1], 2)
+    size = 1 << n
+    digits = bytearray(b"0") * (2 * size)
+    try:
+        for alpha in indices:
+            digits[alpha] = 49  # ord("1")
+    except (TypeError, IndexError):
+        return None
+    return None if digits.find(49, size) >= 0 else int(digits[size - 1 :: -1], 2)
 
 
 def mask_flags(mask: int, size: int, table: bytes = _SET_FLAGS) -> bytes:
@@ -200,11 +207,6 @@ def mask_flags(mask: int, size: int, table: bytes = _SET_FLAGS) -> bytes:
     # The sentinel bit at ``size`` makes bin() give "0b1" and then exactly
     # ``size`` digits.
     return bin(mask | (1 << size))[:2:-1].encode().translate(table)
-
-
-def mask_indices(mask: int, size: int) -> Iterator[MintermIndex]:
-    """The set bits of ``mask`` below ``size``, ascending."""
-    return compress(range(size), mask_flags(mask, size))
 
 
 class OrthogonalSystem(Record):
@@ -236,7 +238,15 @@ class OrthogonalSystem(Record):
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[MintermIndex]) -> "OrthogonalSystem":
         indices = tuple(indices)
+        try:
+            mask = _mask_from_indices(n, indices)
+        except (ValueError, LimitExceededError):  # n, reported after a bad entry
+            mask = None
+        if mask is not None:
+            return cls(n, mask)
         for alpha in indices:
+            if not isinstance(alpha, int):
+                raise TypeError(f"minterm index {alpha!r} is not an integer")
             if not (alpha >= 0 and alpha.bit_length() <= n):
                 raise ValueError(f"minterm index {alpha} out of range for n={n}")
         return cls(n, _mask_from_indices(n, indices))
@@ -257,7 +267,8 @@ class OrthogonalSystem(Record):
     @property
     def zeroed(self) -> tuple[MintermIndex, ...]:
         """Forced-zero minterm indices, ascending."""
-        return tuple(mask_indices(self.zeroed_mask, self.num_minterms))
+        size = self.num_minterms
+        return tuple(compress(range(size), mask_flags(self.zeroed_mask, size)))
 
     @property
     def surviving(self) -> tuple[MintermIndex, ...]:
@@ -281,18 +292,21 @@ class OrthogonalSystem(Record):
         indices = data.get("A")
         if not isinstance(indices, list):
             raise ParseError("'A' must be a list of minterm indices")
-        # Whole-list checks at C speed: exact int types, the range by min
-        # and max, and duplicates by the mask having fewer bits than the
-        # list has entries.  Anything else takes the ordered loop, which
-        # names the first bad entry.
-        if (
-            n <= HARD_MAX_VARS
-            and set(map(type, indices)) <= {int}
-            and (not indices or (min(indices) >= 0 and max(indices).bit_length() <= n))
-        ):
-            mask = _mask_from_indices(n, indices)
-            if mask.bit_count() == len(indices):
+        # Past the mask's own check, the bit count finds duplicates, the type
+        # of the sum an index that is not an int, and the one entry equal to
+        # 0 or to 1 a bool; the ordered loop then names the first bad entry.
+        mask = _mask_from_indices(n, indices) if n <= HARD_MAX_VARS else None
+        try:
+            if (
+                mask is not None
+                and mask.bit_count() == len(indices)
+                and type(sum(indices)) is int
+                and not (mask & 1 and indices[indices.index(0)] is False)
+                and not (mask & 2 and indices[indices.index(1)] is True)
+            ):
                 return cls(n, mask)
+        except (TypeError, ValueError):
+            pass
         _first_bad_index(n, indices)
         return cls(n, _mask_from_indices(n, indices))
 

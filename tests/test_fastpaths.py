@@ -9,6 +9,7 @@ import io
 import json
 import random
 import time
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from boolgeo import LimitExceededError, OrthogonalSystem, ParseError, SystemMismatchError
 from boolgeo.algebra import Element
 from boolgeo.cli import build_parser, config_from_args, run
+from boolgeo.geometry import decompose
 from boolgeo.ortho import ZPoint, format_minterm, minterm_labels
 
 FAST = settings(max_examples=60, deadline=None)
@@ -85,7 +87,7 @@ def json_index_lists(draw):
         "none": [],
         "bool": [draw(st.booleans())],
         "float": [draw(st.floats(allow_nan=False))],
-        "negative": [draw(st.integers(max_value=-1))],
+        "negative": [draw(st.integers(-2 * size, -1))],
         "range": [draw(st.integers(min_value=size))],
         "string": [draw(st.text(max_size=3))],
         "duplicate": [draw(st.sampled_from(prefix))] if prefix else [],
@@ -122,6 +124,19 @@ def test_from_indices_round_trip(case, rng):
 def test_from_indices_rejects_the_first_out_of_range_index():
     with pytest.raises(ValueError, match="minterm index 9 out of range for n=3"):
         OrthogonalSystem.from_indices(3, [1, 9, -1])
+
+
+@pytest.mark.parametrize("indices, bad", [([1.0], "1.0"), (["x"], "'x'"), ([0, None, 9], "None")])
+def test_from_indices_names_the_first_entry_that_is_not_an_integer(indices, bad):
+    with pytest.raises(TypeError, match=f"^minterm index {bad} is not an integer$"):
+        OrthogonalSystem.from_indices(2, indices)
+
+
+def test_from_indices_accepts_bools_and_rejects_negatives_that_land_in_range():
+    assert OrthogonalSystem.from_indices(2, [True, 2]).zeroed_mask == 0b110
+    for indices in ([-1], [0, -4], [-3, 2]):
+        with pytest.raises(ValueError, match=f"minterm index {min(indices)} out of range"):
+            OrthogonalSystem.from_indices(2, indices)
 
 
 # --- labels -------------------------------------------------------------------
@@ -189,6 +204,70 @@ def test_from_json_dict_error_after_valid_entries(indices, message):
     with pytest.raises(ParseError) as info:
         OrthogonalSystem.from_json_dict({"n": 2, "A": indices})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, indices",
+    [
+        # Negative entries that count back onto a free index.
+        (2, [-1]),
+        (2, [0, -4]),
+        (2, [-3, 2]),
+        (2, [-(2**70)]),
+        # A bool that is the only entry equal to 0 or to 1.
+        (2, [True, 2]),
+        (2, [3, False]),
+        (8, list(range(2, 256)) + [True]),
+        (2, [2**70]),
+    ],
+)
+def test_from_json_dict_rejects_what_the_scatter_lets_through(n, indices):
+    with pytest.raises(ParseError) as info:
+        OrthogonalSystem.from_json_dict({"n": n, "A": indices})
+    assert str(info.value) == ref_json_error(n, indices)
+
+
+class IndexLike:
+    """Usable as an index, as numpy's integers are, but not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"IndexLike({self.value})"
+
+
+def test_from_json_dict_rejects_an_index_that_is_not_an_int():
+    for indices in ([IndexLike(3)], [1, IndexLike(2)]):
+        with pytest.raises(ParseError) as info:
+            OrthogonalSystem.from_json_dict({"n": 2, "A": indices})
+        assert str(info.value) == ref_json_error(2, indices)
+
+
+class Minterm(IntEnum):
+    LOW = 0
+    HIGH = 3
+
+
+def test_from_json_dict_accepts_int_subclasses():
+    indices = [Minterm.HIGH, 1, Minterm.LOW]
+    assert ref_json_error(2, indices) is None
+    assert OrthogonalSystem.from_json_dict({"n": 2, "A": indices}).zeroed_mask == 0b1011
+
+
+def test_an_irreducible_decomposition_reads_no_survivors(monkeypatch):
+    o = OrthogonalSystem(16, ((1 << (1 << 16)) - 1) ^ (1 << 7 | 1 << 40000))
+
+    def surviving(self):
+        raise AssertionError("read the survivors")
+
+    monkeypatch.setattr(OrthogonalSystem, "surviving", property(surviving))
+    parts = decompose(o, 2)
+    assert list(parts.masks()) == [o.zeroed_mask]
+    assert list(parts) == [parts[0]] == [o]
 
 
 def test_from_json_dict_checks_entries_before_the_variable_cap():
