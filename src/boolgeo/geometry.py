@@ -10,14 +10,14 @@ variables to zero.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import partial
 from itertools import combinations
 from math import comb
 
 from .algebra import check_rank
 from .errors import InconsistentSystemError, SystemMismatchError
-from .ortho import MintermIndex, OrthogonalSystem
+from .ortho import MintermIndex, OrthogonalSystem, _mask_from_indices
 from .solve import _joined, _tail_size, is_consistent
 
 
@@ -78,14 +78,13 @@ class Decomposition(Sequence[OrthogonalSystem]):
 
         t = _tail_size(counts, s - 1, 1 << n)
         h = s - t
-        below = (1 << (survivors[h] if t else 1 << n)) - 1
-        low = zeros & below
+        low = zeros & ((1 << survivors[h]) - 1) if t else zeros
         lo, hi = max(k - t, 0), min(k, h)
         tails = {
-            q: [zeros ^ low | _bits(survivors, tail) for tail in combinations(range(h, s), q)]
+            q: [zeros ^ low | _bits(n, survivors, tail) for tail in combinations(range(h, s), q)]
             for q in range(k - hi, k - lo + 1)
         }
-        return tails, _heads(survivors[:h], low, below, lo, hi, k)
+        return tails, _heads(n, survivors[:h], low, lo, hi, k)
 
     def masks(self) -> Iterator[int]:
         """The forced-zero mask of each component, in sequence order."""
@@ -102,14 +101,9 @@ class Decomposition(Sequence[OrthogonalSystem]):
             k += self._count
         if not 0 <= k < self._count:
             raise IndexError("component index out of range")
-        survivors, extra, n = self._survivors, self._extra, self.system.n
-        if extra <= self.rank:
-            added = _bits(survivors, _unrank(k, len(survivors), extra))
-            return OrthogonalSystem(n, self.system.zeroed_mask | added)
-        # With more survivors added than left free, clear the free ones; the
-        # sets of free ones run in reverse combination order.
-        free = _unrank(self._count - 1 - k, len(survivors), self.rank)
-        return OrthogonalSystem(n, ((1 << (1 << n)) - 1) ^ _bits(survivors, free))
+        survivors, n = self._survivors, self.system.n
+        added = _bits(n, survivors, _unrank(k, len(survivors), self._extra))
+        return OrthogonalSystem(n, self.system.zeroed_mask | added)
 
     @property
     def components(self) -> tuple[OrthogonalSystem, ...]:
@@ -136,8 +130,11 @@ class Decomposition(Sequence[OrthogonalSystem]):
         )
 
 
-def _bits(minterms: Sequence[MintermIndex], positions: Iterable[int]) -> int:
-    """The mask of the minterms at a few positions, one OR each."""
+def _bits(n: int, minterms: Sequence[MintermIndex], positions: Sequence[int]) -> int:
+    """The mask of the minterms at ``positions``: an OR each, which copies the
+    mask, for fewer than 32, else one scatter into 2**n digits."""
+    if len(positions) >= 32:
+        return _mask_from_indices(n, map(minterms.__getitem__, positions))
     mask = 0
     for i in positions:
         mask |= 1 << minterms[i]
@@ -145,20 +142,17 @@ def _bits(minterms: Sequence[MintermIndex], positions: Iterable[int]) -> int:
 
 
 def _heads(
-    head: tuple[MintermIndex, ...], low: int, below: int, lo: int, hi: int, k: int
+    n: int, head: tuple[MintermIndex, ...], low: int, lo: int, hi: int, k: int
 ) -> Iterator[tuple[int, int]]:
     """(low | P, k - |P|) for each subset P of ``head`` with lo <= |P| <=
-    hi, in the order of P followed by a position past the head; ``below``
-    is low with every bit of ``head`` set.
+    hi, in the order of P followed by a position past the head.
 
     The sets that share their first lo positions are contiguous and end
     with those lo alone; below them a post-order walk adds up to hi - lo
     later positions, one bit per step."""
     h, depth = len(head), hi - lo
-    # With more than half of the head in P, clear the positions left out.
-    rest = frozenset(range(h)) if 2 * lo > h else None
     for first in combinations(range(h), lo):
-        masks = [below ^ _bits(head, rest.difference(first)) if rest else low | _bits(head, first)]
+        masks = [low | _bits(n, head, first)]
         nexts = [first[-1] + 1 if first else 0]
         while masks:
             j = nexts[-1]

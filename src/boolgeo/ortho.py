@@ -183,20 +183,17 @@ def _check_var_count(n: int) -> None:
 
 
 def _mask_from_indices(n: int, indices: Iterable[MintermIndex]) -> int | None:
-    """The mask with the bits at ``indices`` set, or None when an entry is
-    not an index in range(2**n); a bool passes as 0 or 1."""
-    # One ASCII digit per index, converted once.  The digits span twice the
-    # minterm space, so an out-of-range entry that raises nothing (a negative
-    # one counts back from the end) lands in the upper half.
+    """The mask with the bits at ``indices`` set, one ASCII digit each and one
+    conversion, or None for an entry that is not an index or is past 2**n.
+    A negative entry counts back from the end and a bool passes as 0 or 1."""
     _check_var_count(n)
-    size = 1 << n
-    digits = bytearray(b"0") * (2 * size)
+    digits = bytearray(b"0") * (1 << n)
     try:
         for alpha in indices:
             digits[alpha] = 49  # ord("1")
     except (TypeError, IndexError):
         return None
-    return None if digits.find(49, size) >= 0 else int(digits[size - 1 :: -1], 2)
+    return int(digits[::-1], 2)
 
 
 def mask_flags(mask: int, size: int, table: bytes = _SET_FLAGS) -> bytes:
@@ -238,12 +235,12 @@ class OrthogonalSystem(Record):
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[MintermIndex]) -> "OrthogonalSystem":
         indices = tuple(indices)
-        try:
+        try:  # a bad n is reported after a bad entry
             mask = _mask_from_indices(n, indices)
-        except (ValueError, LimitExceededError):  # n, reported after a bad entry
-            mask = None
-        if mask is not None:
-            return cls(n, mask)
+            if mask is not None and min(indices, default=0) >= 0:
+                return cls(n, mask)
+        except (TypeError, ValueError, LimitExceededError):
+            pass
         for alpha in indices:
             if not isinstance(alpha, int):
                 raise TypeError(f"minterm index {alpha!r} is not an integer")
@@ -292,14 +289,16 @@ class OrthogonalSystem(Record):
         indices = data.get("A")
         if not isinstance(indices, list):
             raise ParseError("'A' must be a list of minterm indices")
-        # Past the mask's own check, the bit count finds duplicates, the type
-        # of the sum an index that is not an int, and the one entry equal to
-        # 0 or to 1 a bool; the ordered loop then names the first bad entry.
+        # Past the mask's own check, the bit count finds duplicates, min a
+        # negative entry, the type of the sum an index that is not an int,
+        # and the one entry equal to 0 or to 1 a bool; the ordered loop then
+        # names the first bad entry.
         mask = _mask_from_indices(n, indices) if n <= HARD_MAX_VARS else None
         try:
             if (
                 mask is not None
                 and mask.bit_count() == len(indices)
+                and min(indices, default=0) >= 0
                 and type(sum(indices)) is int
                 and not (mask & 1 and indices[indices.index(0)] is False)
                 and not (mask & 2 and indices[indices.index(1)] is True)

@@ -134,7 +134,7 @@ def test_from_indices_names_the_first_entry_that_is_not_an_integer(indices, bad)
 
 def test_from_indices_accepts_bools_and_rejects_negatives_that_land_in_range():
     assert OrthogonalSystem.from_indices(2, [True, 2]).zeroed_mask == 0b110
-    for indices in ([-1], [0, -4], [-3, 2]):
+    for indices in ([-1], [0, -4], [-3, 2], [-5], [-6], [0, -6], [1, -9]):
         with pytest.raises(ValueError, match=f"minterm index {min(indices)} out of range"):
             OrthogonalSystem.from_indices(2, indices)
 
@@ -214,6 +214,12 @@ def test_from_json_dict_error_after_valid_entries(indices, message):
         (2, [0, -4]),
         (2, [-3, 2]),
         (2, [-(2**70)]),
+        # Negative entries past -2**n, which a scatter into twice the
+        # minterm space would put on a free index of the lower half.
+        (2, [-5]),
+        (2, [-6]),
+        (2, [0, -6]),
+        (3, [1, -9]),
         # A bool that is the only entry equal to 0 or to 1.
         (2, [True, 2]),
         (2, [3, False]),
