@@ -19,7 +19,7 @@ from boolgeo import LimitExceededError, OrthogonalSystem, ParseError, SystemMism
 from boolgeo.algebra import Element
 from boolgeo.cli import build_parser, config_from_args, run
 from boolgeo.geometry import decompose
-from boolgeo.ortho import ZPoint, format_minterm, minterm_labels
+from boolgeo.ortho import ZPoint, _index_sum, format_minterm, minterm_labels
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -262,6 +262,13 @@ def test_from_json_dict_accepts_int_subclasses():
     indices = [Minterm.HIGH, 1, Minterm.LOW]
     assert ref_json_error(2, indices) is None
     assert OrthogonalSystem.from_json_dict({"n": 2, "A": indices}).zeroed_mask == 0b1011
+
+
+@FAST
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_index_sum_is_the_sum_of_the_set_bit_indices(case):
+    n, mask = case
+    assert _index_sum(n, mask) == sum(i for i in range(1 << n) if mask >> i & 1)
 
 
 def test_an_irreducible_decomposition_reads_no_survivors(monkeypatch):
