@@ -199,8 +199,8 @@ def _mask_from_indices(n: int, indices: Iterable[MintermIndex]) -> int | None:
 @lru_cache(maxsize=None)
 def _index_planes(n: int) -> tuple[int, ...]:
     """Plane k has the bits at the indices below 2**n whose bit k is set.
-    Each doubling of the width copies the planes so far and adds the next;
-    all of them take 0.2 ms at n = 16 and 128 KiB."""
+    Each doubling of the width copies the planes so far and adds the next:
+    0.2 ms and 137 KiB at n = 16, 2.8 ms and 2.7 MiB at n = 20."""
     planes: list[int] = []
     for width in map((1).__lshift__, range(n)):
         planes = [plane | plane << width for plane in planes] + [((1 << width) - 1) << width]
