@@ -8,7 +8,9 @@ share freely.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from functools import lru_cache
+from operator import getitem
 
 from ._record import Record, setfield
 from .errors import RankMismatchError
@@ -134,9 +136,33 @@ def elements(rank: int) -> Iterator[Element]:
         yield Element(mask, rank)
 
 
+_INDICES = tuple(map(str, range(MAX_RANK)))
+
+
+@lru_cache(maxsize=256)
+def _byte_texts(sep: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    """Entry b is ``sep.join`` of ``names[i]`` for each set bit i of the
+    byte b, ascending: each name doubles the table built so far."""
+    texts = [""]
+    for name in names:
+        texts += [text + sep + name if text else name for text in texts]
+    return tuple(texts)
+
+
+@lru_cache(maxsize=64)
+def bits_text(sep: str, width: int = MAX_RANK, names: tuple[str, ...] = _INDICES) -> Callable[[int], str]:
+    """A renderer ``mask -> sep.join(names[i] for each set bit i)`` of the
+    masks below 2**width, for ``width`` up to 64 (the decimal index by
+    default): one table of 256 texts per byte of the mask, built on first
+    use, picks each byte's text, and one join puts them together."""
+    tables = tuple(_byte_texts(sep, names[j : j + 8]) for j in range(0, width, 8))
+    size, join = len(tables), sep.join
+    return lambda mask: join(filter(None, map(getitem, tables, mask.to_bytes(size, "little"))))
+
+
 def format_element(e: Element) -> str:
     """Render as a sorted atom list, e.g. ``{0,2}``; zero prints as ``{}``."""
-    return "{" + ",".join(str(i) for i in e.atoms()) + "}"
+    return "{" + bits_text(",", e.rank)(e.mask) + "}"
 
 
 def parse_element(text: str, rank: int) -> Element:

@@ -17,7 +17,6 @@ early (``| head``) ends the run quietly with exit 0.
 
 from __future__ import annotations
 
-import io
 import math
 import operator
 import os
@@ -27,7 +26,7 @@ from itertools import repeat
 from types import SimpleNamespace
 
 from . import geometry, solve
-from .algebra import Element, check_rank
+from .algebra import bits_text, check_rank
 from .errors import (
     BoolgeoError,
     InconsistentSystemError,
@@ -56,7 +55,7 @@ from .syntax import parse_system
 # starting the command line imports none of them.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Callable, Sequence
     from decimal import Decimal
     from fractions import Fraction
     from typing import IO
@@ -374,7 +373,6 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     if args.fmt == "json":
         import json
 
-        make = lambda mask: json.dumps(list(Element(mask, rank).atoms()))  # noqa: E731
         opening, between, closing, separator, ending = "{", ", ", "}", ", ", "]}\n"
         if args.z_space:
             opening, closing = '{"cells": [', "]}"
@@ -386,14 +384,7 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
 
         csv.writer(out, lineterminator="\n").writerow(headers)
         between = ","
-
-        def make(mask):
-            field = io.StringIO()
-            csv.writer(field, lineterminator="").writerow([str(Element(mask, rank))])
-            return field.getvalue()
-
     else:
-        make = lambda mask: str(Element(mask, rank))  # noqa: E731
         prefixes = [h + "=" for h in headers]
 
     total = solve.count_solutions(o, rank)
@@ -407,7 +398,8 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     after = [between + prefix for prefix in prefixes[1:]] + [closing]
     rows = {t: ([slots[key] for tail in table for key in enumerate(tail)], after * len(table))
             for t, table in tails.items()}  # fmt: skip
-    columns, masks, cells = [c for c, _ in slots], [m for _, m in slots], solve.MaskCache(make)
+    columns, masks = [c for c, _ in slots], [m for _, m in slots]
+    cells = solve.MaskCache(_cell_text(args.fmt, rank))
 
     def fill(head):
         joined = map(operator.or_, map(head.__getitem__, columns), masks)
@@ -415,6 +407,21 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
 
     _write_groups(out, heads, total, rows, len(headers), fill, opening + prefixes[0], separator)
     out.write(ending)
+
+
+def _cell_text(fmt: str, rank: int) -> Callable[[int], str]:
+    """A solution cell's text from its mask, read from one table per byte of
+    the mask: the JSON list of its atoms, or ``{0,2}``, which csv.writer
+    quotes when it holds a comma."""
+    atoms = bits_text(", " if fmt == "json" else ",", rank)
+    left, right = ("[", "]") if fmt == "json" else ("{", "}")
+    quoted = fmt == "csv"
+
+    def text(mask: int) -> str:
+        body = atoms(mask)
+        return '"{' + body + '}"' if quoted and "," in body else left + body + right
+
+    return text
 
 
 @lru_cache(maxsize=4)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import compress, product
 
 from ._record import Record, setfield
-from .algebra import Element
+from .algebra import MAX_RANK, Element, bits_text
 from .errors import (
     LimitExceededError,
     MissingVariableError,
@@ -140,12 +140,16 @@ def mask_text(n: int, sep: str, labels: bool = False) -> Callable[[int], str]:
     ascending and joined by ``sep``: ``sep.join(map(str, indices))``, or
     ``sep.join(minterm_labels(indices, n))`` when ``labels`` is true.
 
-    Each text is picked from a fixed table by the mask's flags.  Past one
-    table, the index space is walked a block at a time: every decimal index
-    of block k >= 1 is ``str(k)`` before a three-digit tail, and every label
-    of a 2**10-minterm block ends in the same high bits, so the shared part
-    goes into the join separator and a block costs one ``str.join``."""
+    A mask of at most 64 bits is rendered a byte at a time by
+    :func:`~boolgeo.algebra.bits_text`.  Up to 1000 indices (2**10 labels),
+    each text is picked from one table by the mask's flags.  Past that, the
+    index space is walked a block at a time: every decimal index of block
+    k >= 1 is ``str(k)`` before a three-digit tail, and every label of a
+    2**10-minterm block ends in the same high bits, so the shared part goes
+    into the join separator and a block costs one ``str.join``."""
     size = 1 << n
+    if size <= MAX_RANK:
+        return bits_text(sep, size, _label_table(n)) if labels else bits_text(sep, size)
     if size <= (1 << _LABEL_BITS if labels else 1000):
         table = _label_table(n) if labels else _decimals(1)
         return lambda mask: sep.join(compress(table, mask_flags(mask, size)))

@@ -240,8 +240,28 @@ class _Fail(Exception):
     """(token index or None, message) of a parse error."""
 
 
+# ASCII text is cut at blanks once every operator and separator token has a
+# blank on each side (str.split() would also drop the newlines).  Where that
+# gives only tokens of _KIND and ASCII names, the cut is _TOKEN's; a digit
+# run, a lone backslash or slash, a control character such as '\x0b', or any
+# other character leaves a piece that is neither, and takes _TOKEN.
+_PADDED = ("\\/", "(", ")", "!", "'", "*", "&", "+", "=", ";", ",", "\n")
+
+
+def _cut(text: str) -> list[str] | None:
+    """``_TOKEN.findall(text)`` by str methods, or None where they may differ."""
+    if not text.isascii():
+        return None
+    cut = text.replace("\t", " ").replace("\r", " ")
+    for token in _PADDED:
+        cut = cut.replace(token, " " + token + " ")
+    tokens = list(filter(None, cut.split(" ")))
+    return tokens if all(map(str.isidentifier, set(tokens).difference(_KIND))) else None
+
+
 def _scan(text: str) -> tuple[list[str], list]:
-    tokens = _TOKEN.findall(text) + [""]
+    tokens = _cut(text) or _TOKEN.findall(text)
+    tokens.append("")
     return tokens, list(map(_KIND.get, tokens))
 
 
@@ -282,7 +302,8 @@ def _term(tokens: list[str], kinds: list, i: int) -> tuple[tuple, int]:
             if kinds[i] is _PRIME:
                 emit(_NOT)
                 i += 1
-            program += (_NOT,) * bangs
+            if bangs:
+                program += (_NOT,) * bangs
             kind = kinds[i]
             if kind is not _RPAREN or not groups:
                 break
