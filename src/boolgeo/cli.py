@@ -21,8 +21,8 @@ import math
 import operator
 import os
 import sys
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
+from itertools import chain
 from types import SimpleNamespace
 
 from . import geometry, solve
@@ -391,21 +391,37 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     if args.limit is not None:
         total = min(total, args.limit)
     tails, heads = solve.split_atoms(o, rank, z_space=args.z_space, points=total)
-    # A cell is the head's mask OR the tail row's in its column: a head ORs
-    # each distinct (column, tail mask) pair once and looks up its text in a
-    # per-run cache that renders each distinct cell once.
-    slots = solve.MaskCache(lambda key: len(slots))
+    # A slot is a column and a distinct tail mask in it, numbered a column at
+    # a time.  Its text is the cell of the head's mask OR the tail's, then the
+    # literal after the column; column 0's starts with separator, opening, prefix.
+    ((t, table),) = tails.items()
+    before = [separator + opening + prefixes[0]] + [""] * (len(headers) - 1)
     after = [between + prefix for prefix in prefixes[1:]] + [closing]
-    rows = {t: ([slots[key] for tail in table for key in enumerate(tail)], after * len(table))
-            for t, table in tails.items()}  # fmt: skip
-    columns, masks = [c for c, _ in slots], [m for _, m in slots]
     cells = solve.MaskCache(_cell_text(args.fmt, rank))
+    if len(table) == 1:  # one row shares no text: cells go between literals, 2**16 under --z
+        parts, rows = [""] * (2 * len(headers) + 1), {t: list(range(2 * len(headers) + 1))}
+        parts[::2] = [before[0], *after]
 
-    def fill(head):
-        joined = map(operator.or_, map(head.__getitem__, columns), masks)
-        return list(map(cells.__getitem__, joined))
+        def fill(head):
+            parts[1::2] = map(cells.__getitem__, map(operator.or_, head, table[0]))
+            return parts
+    else:  # a column's slot texts are built once per head mask in it
 
-    _write_groups(out, heads, total, rows, len(headers), fill, opening + prefixes[0], separator)
+        def slot_texts(lead, masks, end, head):
+            return [lead + cells[head | mask] + end for mask in masks]
+
+        columns, picks, start = [], [], 0
+        for lead, end, column in zip(before, after, zip(*table)):
+            index = {mask: i for i, mask in enumerate(dict.fromkeys(column), start)}
+            columns.append(solve.MaskCache(partial(slot_texts, lead, list(index), end)))
+            picks.append(map(index.__getitem__, column))
+            start += len(index)
+        rows = {t: list(chain.from_iterable(zip(*picks)))}
+
+        def fill(head):
+            return list(chain.from_iterable(map(solve.MaskCache.__getitem__, columns, head)))
+
+    _write_groups(out, heads, total, rows, fill, separator, len(rows[t]) // len(table))
     out.write(ending)
 
 
@@ -430,54 +446,50 @@ def _number_block(k: int) -> tuple[str, ...]:
     return tuple(str(k) + d for d in _decimals(3)) if k else _decimals(1)
 
 
-def _write_groups(out, heads, total, rows, width, fill, opening, separator, numbering=None):
+def _write_groups(out, heads, total, rows, fill, separator, width, literals=None):
     """Writes the first ``total`` items of a split, one ``str.join`` per group.
 
-    ``heads`` yields (head, key); the head's group has an item per ``width``
-    slots of ``rows[key]``: the indices of their texts in ``fill(head)`` and
-    the literal after each.  An item is ``opening``, then its slots;
-    ``separator`` joins items.  With ``numbering``, items have one slot,
-    after their number from 1 and ``numbering``.  The literals are laid out
-    once per key (and for a last group cut short) around empty slots, which
-    one ``operator.itemgetter`` and, for numbers, one slice of a block of a
-    thousand texts fill."""
-    numbered = numbering is not None
-    step = 2 * (width + numbered)  # the parts of one item
-    texts_at = slice(3, None, 4) if numbered else slice(1, None, 2)
+    ``heads`` yields (head, key); ``rows[key]`` lists, ``width`` per item,
+    the indices of the texts in ``fill(head)`` that the head's group joins.
+    Each item starts with ``separator``, which the first item drops.  With
+    ``literals`` = (opening, numbering, afters), an item is ``separator``,
+    ``opening``, with ``numbering`` its number from 1 and ``numbering``, its
+    one text and ``afters[key]``'s entry, laid out once per key (and for a
+    last group cut short) around slots for the texts and numbers, which come
+    from blocks of a thousand."""
+    opening, numbering, afters = literals or ("", None, None)
+    lead, step = separator + opening, 4 if numbering else 2  # parts per item
+    texts_at = slice(step - 1, None, step)  # an item's text comes last but one
 
     def layout(key, count):
-        slots, afters = rows[key]
-        end = count * width
-        picks, afters = (slots, afters) if end == len(slots) else (slots[:end], afters[:end])
-        parts = [""] * (count * step + 1)
-        parts[0] = opening
-        if numbered:
-            parts[2::4], parts[4::4] = [numbering] * count, afters
-        else:
-            parts[2::2] = afters
-        ends = slice(step, -1, step)
-        parts[ends] = map(operator.add, parts[ends], repeat(separator + opening))
-        if len(picks) == 1:  # itemgetter of one index returns no tuple
-            return parts, lambda texts: (texts[picks[0]],), count
-        return parts, operator.itemgetter(*picks), count
+        picks = rows[key][: count * width]
+        pick = operator.itemgetter(*picks) if len(picks) > 1 else lambda texts: (texts[picks[0]],)
+        if literals is None:
+            return None, pick, count
+        parts = [lead] + [numbering or ""] * (count * step)
+        parts[step::step] = map(operator.add, afters[key][:count], [lead] * (count - 1) + [""])
+        return parts, pick, count
 
-    layouts = solve.MaskCache(lambda key: layout(key, len(rows[key][0]) // width))
-    lead, written, block, block_texts = "", 0, 0, _number_block(0)
+    layouts = solve.MaskCache(lambda key: layout(key, len(rows[key]) // width))
+    strip, written, block, block_texts = len(separator), 0, 0, _number_block(0)
     for head, key in heads if total else ():
         parts, pick, count = layouts[key]
         if count > total - written:  # the last group, cut short
             parts, pick, count = layout(key, total - written)
-        if numbered:
-            start = written + 1 - 1000 * block
-            texts = block_texts[start : start + count]
-            while len(texts) < count:  # the group passes a multiple of 1000
-                block += 1
-                block_texts = _number_block(block)
-                texts += block_texts[: count - len(texts)]
-            parts[1::4] = texts
-        parts[texts_at] = pick(fill(head))
-        out.write(lead + "".join(parts))
-        lead, written = separator, written + count
+        texts = pick(fill(head))
+        if parts is not None:
+            if numbering:
+                start = written + 1 - 1000 * block
+                numbers = block_texts[start : start + count]
+                while len(numbers) < count:  # the group passes a multiple of 1000
+                    block += 1
+                    block_texts = _number_block(block)
+                    numbers += block_texts[: count - len(numbers)]
+                parts[1::4] = numbers
+            parts[texts_at], texts = texts, parts
+        text = "".join(texts)
+        out.write(text[strip:] if strip else text)
+        strip, written = 0, written + count
         if written == total:
             break
 
@@ -510,16 +522,17 @@ def _cmd_decompose(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     # empty head), for the entries with text, and its text ending the
     # component, for the one entry that can be empty (Q and the forced zeros
     # from the first tail survivor on both empty).
-    rows = {}
+    rows, afters = {}, {}
     for q, masks in tails.items():
         texts = list(map(render, masks))
-        rows[q] = [0 if text else 1 for text in texts], [text and text + closing for text in texts]
+        rows[q] = [0 if text else 1 for text in texts]
+        afters[q] = [text and text + closing for text in texts]
 
     def fill(head):
         text = render(head)
         return (text + between, text + closing) if text else ("", empty)
 
-    _write_groups(out, heads, len(parts), rows, 1, fill, opening, separator, numbering)
+    _write_groups(out, heads, len(parts), rows, fill, separator, 1, (opening, numbering, afters))
     out.write(ending)
 
 

@@ -12,9 +12,11 @@ import json
 from math import comb
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolgeo import OrthogonalSystem, solve
 from boolgeo.cli import build_parser, config_from_args, run
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
@@ -101,3 +103,40 @@ def test_decompose_numbers_cross_the_thousand_edge():
         code, out, err = invoke(["decompose", "--rank", "4", "--format", fmt], json_input(5, mask))
         assert (code, err) == (0, "")
         assert out == oracle.decompose_output(5, mask, 4, fmt)
+
+
+def group_limits(n, mask, rank, z_space):
+    """--limit 0, 1, a cut inside the first group, exactly one group, one
+    past it, and s**r: a group has a row per tail-table entry, and the table
+    is sized for the points to be written, so each limit reads its own."""
+    o = OrthogonalSystem(n, mask)
+    count = solve.count_solutions(o, rank)
+
+    def group(limit):
+        tails, _ = solve.split_atoms(o, rank, z_space=z_space, points=limit)
+        return len(next(iter(tails.values())))
+
+    cut = next((k for k in range(2, count) if k < group(k)), None)
+    whole = next((k for k in range(2, count) if k == group(k)), None)
+    limits = {0, 1, count, cut, whole, whole and whole + 1}
+    return sorted(k for k in limits if k is not None)
+
+
+# (n, forced-zero mask): one column with two survivors and with one, then
+# 2, 3 and 14 survivors; s**r stays within a few hundred points.
+GROUP_SYSTEMS = [(1, 0), (1, 1), (2, 0b0110), (3, 0b1001_0010), (4, 1 << 1 | 1 << 6)]
+
+
+@pytest.mark.parametrize("z_space", [False, True])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("n, mask", GROUP_SYSTEMS)
+def test_solve_bytes_at_group_edges(n, mask, fmt, z_space):
+    s = (1 << n) - mask.bit_count()
+    for rank in [r for r in range(1, 5) if s**r <= 3000]:
+        for limit in group_limits(n, mask, rank, z_space):
+            argv = ["solve", "--rank", str(rank), "--format", fmt, "--limit", str(limit)]
+            code, out, err = invoke(argv + ["--z"] * z_space, json_input(n, mask))
+            assert (code, err) == (0, "")
+            names = [f"x{i + 1}" for i in range(n)]
+            expected = oracle.solve_output(n, mask, rank, limit, fmt, z_space, names)
+            assert out == expected, (rank, limit)
