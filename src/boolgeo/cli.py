@@ -22,7 +22,7 @@ import operator
 import os
 import sys
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 from . import geometry, solve
@@ -391,16 +391,15 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     if args.limit is not None:
         total = min(total, args.limit)
     tails, heads = solve.split_atoms(o, rank, z_space=args.z_space, points=total)
-    # A slot is a column and a distinct tail mask in it, numbered a column at
-    # a time.  Its text is the cell of the head's mask OR the tail's, then the
-    # literal after the column; column 0's starts with separator, opening, prefix.
-    ((t, table),) = tails.items()
+    # A slot is a distinct tail mask in a column, numbered a column at a time: its text is the
+    # cell of the head's mask OR the tail's, then the column's literal (column 0's lead first).
+    ((_, table),) = tails.items()
     before = [separator + opening + prefixes[0]] + [""] * (len(headers) - 1)
     after = [between + prefix for prefix in prefixes[1:]] + [closing]
     cells = solve.MaskCache(_cell_text(args.fmt, rank))
-    if len(table) == 1:  # one row shares no text: cells go between literals, 2**16 under --z
-        parts, rows = [""] * (2 * len(headers) + 1), {t: list(range(2 * len(headers) + 1))}
-        parts[::2] = [before[0], *after]
+    columns, picks, start = [], [], 0
+    if len(table) == 1:  # one row shares no text: its cells go between the literals
+        parts = [before[0], *chain.from_iterable(zip(repeat(""), after))]
 
         def fill(head):
             parts[1::2] = map(cells.__getitem__, map(operator.or_, head, table[0]))
@@ -410,18 +409,25 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
         def slot_texts(lead, masks, end, head):
             return [lead + cells[head | mask] + end for mask in masks]
 
-        columns, picks, start = [], [], 0
         for lead, end, column in zip(before, after, zip(*table)):
             index = {mask: i for i, mask in enumerate(dict.fromkeys(column), start)}
             columns.append(solve.MaskCache(partial(slot_texts, lead, list(index), end)))
             picks.append(map(index.__getitem__, column))
             start += len(index)
-        rows = {t: list(chain.from_iterable(zip(*picks)))}
+        pick = operator.itemgetter(*chain.from_iterable(zip(*picks)))
 
         def fill(head):
-            return list(chain.from_iterable(map(solve.MaskCache.__getitem__, columns, head)))
+            return pick(list(chain.from_iterable(map(solve.MaskCache.__getitem__, columns, head))))
 
-    _write_groups(out, heads, total, rows, fill, separator, len(rows[t]) // len(table))
+    # A group's texts hold a point per row; the first drops its separator.
+    for done, (head, _) in zip(range(0, total, len(table)), heads):
+        texts = fill(head)
+        if done + len(table) > total:  # the last group, cut short
+            texts = texts[: (total - done) * len(headers)]
+        out.write("".join(texts)[0 if done else len(separator) :])
+        if len(cells) > 1 << 16:  # all cells up to rank 16; past it few come back
+            for cache in (cells, *columns):
+                cache.clear()
     out.write(ending)
 
 
@@ -446,50 +452,52 @@ def _number_block(k: int) -> tuple[str, ...]:
     return tuple(str(k) + d for d in _decimals(3)) if k else _decimals(1)
 
 
-def _write_groups(out, heads, total, rows, fill, separator, width, literals=None):
-    """Writes the first ``total`` items of a split, one ``str.join`` per group.
+def _write_groups(out, heads, total, rows, fill, opening, separator, numbering=None):
+    """Writes decompose's first ``total`` items, one ``str.join`` per group.
 
-    ``heads`` yields (head, key); ``rows[key]`` lists, ``width`` per item,
-    the indices of the texts in ``fill(head)`` that the head's group joins.
-    Each item starts with ``separator``, which the first item drops.  With
-    ``literals`` = (opening, numbering, afters), an item is ``separator``,
-    ``opening``, with ``numbering`` its number from 1 and ``numbering``, its
-    one text and ``afters[key]``'s entry, laid out once per key (and for a
-    last group cut short) around slots for the texts and numbers, which come
-    from blocks of a thousand."""
-    opening, numbering, afters = literals or ("", None, None)
-    lead, step = separator + opening, 4 if numbering else 2  # parts per item
-    texts_at = slice(step - 1, None, step)  # an item's text comes last but one
+    ``heads`` yields (head, key); the head's group has an item per entry of
+    ``rows[key]``: the index of its text in ``fill(head)`` and the literal
+    after it.  An item is ``opening``, with ``numbering`` its number from 1
+    and ``numbering``, then its text; ``separator`` joins items.  The
+    literals are laid out once per key (and for a last group cut short)
+    around empty slots, which one ``operator.itemgetter`` and, for numbers,
+    one slice of a block of a thousand texts fill."""
+    numbered = numbering is not None
+    step = 2 + 2 * numbered  # the parts of one item
+    texts_at = slice(3, None, 4) if numbered else slice(1, None, 2)
 
     def layout(key, count):
-        picks = rows[key][: count * width]
-        pick = operator.itemgetter(*picks) if len(picks) > 1 else lambda texts: (texts[picks[0]],)
-        if literals is None:
-            return None, pick, count
-        parts = [lead] + [numbering or ""] * (count * step)
-        parts[step::step] = map(operator.add, afters[key][:count], [lead] * (count - 1) + [""])
-        return parts, pick, count
+        slots, afters = rows[key]
+        picks, afters = (slots, afters) if count == len(slots) else (slots[:count], afters[:count])
+        parts = [""] * (count * step + 1)
+        parts[0] = opening
+        if numbered:
+            parts[2::4], parts[4::4] = [numbering] * count, afters
+        else:
+            parts[2::2] = afters
+        ends = slice(step, -1, step)
+        parts[ends] = map(operator.add, parts[ends], repeat(separator + opening))
+        if len(picks) == 1:  # itemgetter of one index returns no tuple
+            return parts, lambda texts: (texts[picks[0]],), count
+        return parts, operator.itemgetter(*picks), count
 
-    layouts = solve.MaskCache(lambda key: layout(key, len(rows[key]) // width))
-    strip, written, block, block_texts = len(separator), 0, 0, _number_block(0)
+    layouts = solve.MaskCache(lambda key: layout(key, len(rows[key][0])))
+    lead, written, block, block_texts = "", 0, 0, _number_block(0)
     for head, key in heads if total else ():
         parts, pick, count = layouts[key]
         if count > total - written:  # the last group, cut short
             parts, pick, count = layout(key, total - written)
-        texts = pick(fill(head))
-        if parts is not None:
-            if numbering:
-                start = written + 1 - 1000 * block
-                numbers = block_texts[start : start + count]
-                while len(numbers) < count:  # the group passes a multiple of 1000
-                    block += 1
-                    block_texts = _number_block(block)
-                    numbers += block_texts[: count - len(numbers)]
-                parts[1::4] = numbers
-            parts[texts_at], texts = texts, parts
-        text = "".join(texts)
-        out.write(text[strip:] if strip else text)
-        strip, written = 0, written + count
+        if numbered:
+            start = written + 1 - 1000 * block
+            texts = block_texts[start : start + count]
+            while len(texts) < count:  # the group passes a multiple of 1000
+                block += 1
+                block_texts = _number_block(block)
+                texts += block_texts[: count - len(texts)]
+            parts[1::4] = texts
+        parts[texts_at] = pick(fill(head))
+        out.write(lead + "".join(parts))
+        lead, written = separator, written + count
         if written == total:
             break
 
@@ -522,17 +530,16 @@ def _cmd_decompose(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     # empty head), for the entries with text, and its text ending the
     # component, for the one entry that can be empty (Q and the forced zeros
     # from the first tail survivor on both empty).
-    rows, afters = {}, {}
+    rows = {}
     for q, masks in tails.items():
         texts = list(map(render, masks))
-        rows[q] = [0 if text else 1 for text in texts]
-        afters[q] = [text and text + closing for text in texts]
+        rows[q] = [0 if text else 1 for text in texts], [text and text + closing for text in texts]
 
     def fill(head):
         text = render(head)
         return (text + between, text + closing) if text else ("", empty)
 
-    _write_groups(out, heads, len(parts), rows, fill, separator, 1, (opening, numbering, afters))
+    _write_groups(out, heads, len(parts), rows, fill, opening, separator, numbering)
     out.write(ending)
 
 

@@ -133,7 +133,6 @@ def _decimals(digits: int) -> tuple[str, ...]:
 
 
 _LABEL_BITS = 10
-_SPARSE_SPAN = 128
 
 
 def mask_text(n: int, sep: str, labels: bool = False) -> Callable[[int], str]:
@@ -142,21 +141,21 @@ def mask_text(n: int, sep: str, labels: bool = False) -> Callable[[int], str]:
     ``sep.join(minterm_labels(indices, n))`` when ``labels`` is true.
 
     A mask of at most 64 bits is rendered a byte at a time by
-    :func:`~boolgeo.algebra.bits_text`, one with at most a set bit per
-    ``_SPARSE_SPAN`` indices from those bits, a bit_length() and xor each.
-    Otherwise each text is picked from a table by the mask's flags, 1000
-    indices (2**10 labels) at a time: every decimal index of block k >= 1 is
-    ``str(k)`` before a three-digit tail, and every label of a 2**10-minterm
-    block ends in the same high bits, so the shared part goes into the join
-    separator and a block costs one ``str.join``."""
+    :func:`~boolgeo.algebra.bits_text`.  Up to 1000 indices (2**10 labels),
+    each text is picked from one table by the mask's flags.  Past that, the
+    index space is walked a block at a time: every decimal index of block
+    k >= 1 is ``str(k)`` before a three-digit tail, and every label of a
+    2**10-minterm block ends in the same high bits, so the shared part goes
+    into the join separator and a block costs one ``str.join``."""
     size = 1 << n
     if size <= MAX_RANK:
         return bits_text(sep, size, _label_table(n)) if labels else bits_text(sep, size)
+    if size <= (1 << _LABEL_BITS if labels else 1000):
+        table = _label_table(n) if labels else _decimals(1)
+        return lambda mask: sep.join(compress(table, mask_flags(mask, size)))
     # One (table, separator, head, tail) per block: a block's text is
     # head + separator.join(picked entries) + tail.
-    if size <= (1 << _LABEL_BITS if labels else 1000):
-        step, blocks = size, [(_label_table(n) if labels else _decimals(1), sep, "", "")]
-    elif labels:
+    if labels:
         step, heads = 1 << _LABEL_BITS, _label_table(_LABEL_BITS, tail="")
         blocks = [(heads, f",{w})" + sep, "", f",{w})") for w in _bit_words(n - _LABEL_BITS)]
     else:
@@ -166,12 +165,6 @@ def mask_text(n: int, sep: str, labels: bool = False) -> Callable[[int], str]:
         blocks += [(padded, sep + str(k), str(k), "") for k in range(1, -(-size // step))]
 
     def render(mask: int) -> str:
-        if mask.bit_count() * _SPARSE_SPAN <= size:  # highest bit first
-            indices = []
-            while mask:
-                indices.append(mask.bit_length() - 1)
-                mask ^= 1 << indices[-1]
-            return sep.join(minterm_labels(indices[::-1], n) if labels else map(str, indices[::-1]))
         flags = mask_flags(mask, size)
         parts = []
         for start, (table, between, head, tail) in zip(range(0, size, step), blocks):

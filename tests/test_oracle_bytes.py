@@ -140,3 +140,13 @@ def test_solve_bytes_at_group_edges(n, mask, fmt, z_space):
             names = [f"x{i + 1}" for i in range(n)]
             expected = oracle.solve_output(n, mask, rank, limit, fmt, z_space, names)
             assert out == expected, (rank, limit)
+
+
+@pytest.mark.parametrize("z_space, limit", [(False, 70000), (True, 40000)])
+def test_solve_bytes_past_the_cached_cells(z_space, limit):
+    # Every point of n = 1 at rank 17 has cells of its own, so these streams
+    # pass 2**16 distinct cells, where solve drops its cached texts.
+    argv = ["solve", "--rank", "17", "--format", "json", "--limit", str(limit)]
+    code, out, err = invoke(argv + ["--z"] * z_space, json_input(1, 0))
+    assert (code, err) == (0, "")
+    assert out == oracle.solve_output(1, 0, 17, limit, "json", z_space, ["x1"])

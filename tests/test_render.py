@@ -19,13 +19,7 @@ from hypothesis import strategies as st
 
 from boolgeo import OrthogonalSystem
 from boolgeo.cli import build_parser, config_from_args, run
-from boolgeo.ortho import (
-    _SPARSE_SPAN,
-    HARD_MAX_VARS,
-    format_minterm,
-    mask_text,
-    minterm_labels,
-)
+from boolgeo.ortho import HARD_MAX_VARS, format_minterm, mask_text, minterm_labels
 
 SEPARATORS = (", ", " ", " = 0\n", " = 0, ")
 EDGES = (0, 1, 998, 999, 1000, 1001, 1023, 1024, 1025, 1999, 2000)
@@ -86,28 +80,6 @@ def masks(draw):
 def test_random_masks(case, sep, labels):
     n, mask = case
     assert mask_text(n, sep, labels)(mask) == ref_text(n, mask, sep, labels)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(7, 16),
-    offset=st.integers(-2, 2),
-    packed=st.booleans(),
-    seed=st.integers(0, 2**32),
-    sep=st.sampled_from(SEPARATORS),
-    labels=st.booleans(),
-)
-def test_sparse_switch_both_sides(n, offset, packed, seed, sep, labels):
-    # A mask of more than 64 bits with at most size / _SPARSE_SPAN set bits
-    # is rendered from its set bits, one with more by the block walk; the
-    # offsets land on both sides of that switch, with the bits spread out or
-    # packed at the top of the mask.
-    size = 1 << n
-    k = max(0, size // _SPARSE_SPAN + offset)
-    indices = range(size - k, size) if packed else sorted(random.Random(seed).sample(range(size), k))
-    mask = sum(1 << alpha for alpha in indices)
-    expected = sep.join(minterm_labels(indices, n) if labels else map(str, indices))
-    assert mask_text(n, sep, labels)(mask) == expected
 
 
 def test_labels_are_format_minterm_across_blocks():
