@@ -391,8 +391,8 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     if args.limit is not None:
         total = min(total, args.limit)
     tails, heads = solve.split_atoms(o, rank, z_space=args.z_space, points=total)
-    # A slot is a distinct tail mask in a column, numbered a column at a time: its text is the
-    # cell of the head's mask OR the tail's, then the column's literal (column 0's lead first).
+    # A slot is a distinct tail mask of a column: its text is the cell of the
+    # head's mask OR it, between the column's literals (``before``, ``after``).
     ((_, table),) = tails.items()
     before = [separator + opening + prefixes[0]] + [""] * (len(headers) - 1)
     after = [between + prefix for prefix in prefixes[1:]] + [closing]
