@@ -26,7 +26,7 @@ from itertools import chain, repeat
 from types import SimpleNamespace
 
 from . import geometry, solve
-from .algebra import bits_text, check_rank
+from .algebra import _INDICES, _byte_texts, bits_text, check_rank
 from .errors import (
     BoolgeoError,
     InconsistentSystemError,
@@ -391,39 +391,44 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     if args.limit is not None:
         total = min(total, args.limit)
     tails, heads = solve.split_atoms(o, rank, z_space=args.z_space, points=total)
-    # A slot is a distinct tail mask of a column: its text is the cell of the
-    # head's mask OR it, between the column's literals (``before``, ``after``).
-    ((_, table),) = tails.items()
-    before = [separator + opening + prefixes[0]] + [""] * (len(headers) - 1)
-    after = [between + prefix for prefix in prefixes[1:]] + [closing]
-    cells = solve.MaskCache(_cell_text(args.fmt, rank))
-    columns, picks, start = [], [], 0
-    if len(table) == 1:  # one row shares no text: its cells go between the literals
-        parts = [before[0], *chain.from_iterable(zip(repeat(""), after))]
+    ((t, table),) = tails.items()
+    cells = _cells(args.fmt, rank)
+    # The literals around the live columns' cells: one before the first, then
+    # one after each, with each fixed column's cell folded in.
+    literals, text, live = [], separator + opening, set(table.live)
+    for column, prefix in enumerate(prefixes):
+        text += (between if column else "") + prefix
+        if column in live:
+            literals.append(text)
+            text = ""
+        else:
+            text += cells[table.fixed[column]]
+    literals.append(text + closing)
+    rows, width, columns = len(table), len(live), []
+    if rows == 1:  # one row shares no text: its cells go between the literals
+        parts = [literals[0], *chain.from_iterable(zip(repeat(""), literals[1:]))]
 
         def fill(head):
-            parts[1::2] = map(cells.__getitem__, map(operator.or_, head, table[0]))
+            parts[1::2] = map(cells.__getitem__, head)
             return parts
-    else:  # a column's slot texts are built once per head mask in it
+    else:  # a slot is a live column and a tail subset j; its texts are built once per head mask
+        shifts = [j << rank - t for j in range(1 << t)]
 
-        def slot_texts(lead, masks, end, head):
-            return [lead + cells[head | mask] + end for mask in masks]
+        def slot_texts(lead, end, head):
+            return [lead + cells[head | mask] + end for mask in shifts]
 
-        for lead, end, column in zip(before, after, zip(*table)):
-            index = {mask: i for i, mask in enumerate(dict.fromkeys(column), start)}
-            columns.append(solve.MaskCache(partial(slot_texts, lead, list(index), end)))
-            picks.append(map(index.__getitem__, column))
-            start += len(index)
-        pick = operator.itemgetter(*chain.from_iterable(zip(*picks)))
+        leads = [literals[0]] + [""] * (width - 1)
+        columns = [solve.MaskCache(partial(slot_texts, *ends)) for ends in zip(leads, literals[1:])]
+        pick = operator.itemgetter(*table.slots)
 
         def fill(head):
             return pick(list(chain.from_iterable(map(solve.MaskCache.__getitem__, columns, head))))
 
     # A group's texts hold a point per row; the first drops its separator.
-    for done, (head, _) in zip(range(0, total, len(table)), heads):
+    for done, (head, _) in zip(range(0, total, rows), heads):
         texts = fill(head)
-        if done + len(table) > total:  # the last group, cut short
-            texts = texts[: (total - done) * len(headers)]
+        if done + rows > total:  # the last group, cut short
+            texts = texts[: (total - done) * width]
         out.write("".join(texts)[0 if done else len(separator) :])
         if len(cells) > 1 << 16:  # all cells up to rank 16; past it few come back
             for cache in (cells, *columns):
@@ -431,19 +436,21 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     out.write(ending)
 
 
-def _cell_text(fmt: str, rank: int) -> Callable[[int], str]:
-    """A solution cell's text from its mask, read from one table per byte of
-    the mask: the JSON list of its atoms, or ``{0,2}``, which csv.writer
-    quotes when it holds a comma."""
-    atoms = bits_text(", " if fmt == "json" else ",", rank)
+def _cells(fmt: str, rank: int) -> list[str] | solve.MaskCache:
+    """Each solution cell's text by its mask: the JSON list of its atoms, or
+    ``{0,2}``, which csv.writer quotes when it holds a comma.  Up to rank 8
+    it wraps each entry of the byte table that bits_text reads; past it each
+    mask is rendered on first use."""
+    sep = ", " if fmt == "json" else ","
     left, right = ("[", "]") if fmt == "json" else ("{", "}")
     quoted = fmt == "csv"
+    atoms = _byte_texts(sep, _INDICES[:8]).__getitem__ if rank <= 8 else bits_text(sep, rank)
 
     def text(mask: int) -> str:
         body = atoms(mask)
         return '"{' + body + '}"' if quoted and "," in body else left + body + right
 
-    return text
+    return list(map(text, range(1 << rank))) if rank <= 8 else solve.MaskCache(text)
 
 
 @lru_cache(maxsize=4)

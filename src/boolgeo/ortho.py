@@ -471,19 +471,8 @@ class XPoint(Record):
 # --- truth tables and orthogonalization --------------------------------
 
 
-def _variable_column(i: int, n: int) -> int:
-    # Bits alpha (0 <= alpha < 2**n) having bit i set, built by doubling.
-    block = 1 << i
-    mask = ((1 << block) - 1) << block
-    span = block << 1
-    while span < (1 << n):
-        mask |= mask << span
-        span <<= 1
-    return mask
-
-
 def _columns(variables: Sequence[str]) -> dict[str, int]:
-    columns = {name: _variable_column(i, len(variables)) for i, name in enumerate(variables)}
+    columns = dict(zip(variables, _index_planes(len(variables))))
     if len(columns) != len(variables):
         raise ValueError("duplicate variable names")
     return columns

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator, Mapping
 from operator import or_
+from types import SimpleNamespace
 
 from .algebra import Element, check_rank
 from .errors import MissingVariableError, RankMismatchError
-from .ortho import OrthogonalSystem, XPoint, ZPoint, orthogonalize
+from .ortho import OrthogonalSystem, XPoint, ZPoint, _index_planes, orthogonalize
 from .syntax import System, Term, compile_term, run
 
 
@@ -117,43 +118,75 @@ def _joined(split: tuple[dict, Iterator], join: Callable) -> Iterator:
         yield from map(join, itertools.repeat(head), tails[key])
 
 
+class _TailTable(SimpleNamespace):
+    """A split's tail table: for each row, in order, and each live column k
+    (``live[k]``, a column that some survivors land in and some do not) the
+    slot k * 2**t + j, where bit b of j stands for tail atom rank - t + b in
+    that column; and ``fixed``, each other column's mask in every point
+    (every atom where every survivor lands, else none)."""
+
+    def __len__(self) -> int:
+        return len(self.slots) // len(self.live)
+
+
 def split_atoms(
     system: OrthogonalSystem, rank: int, *, z_space: bool = False, points: int | None = None
-) -> tuple[dict[int, list[tuple[int, ...]]], Iterator[tuple[list[int], int]]]:
+) -> tuple[dict[int, _TailTable], Iterator[tuple[list[int], int]]]:
     """Split the atoms into the slowest (the head) and the t fastest (the
-    tail): the tail table {t: every placement of the fastest atoms as masks
-    of the columns x_1..x_n, or with ``z_space`` the 2**n minterm cells},
-    and a lazy iterator of (the masks of a placement of the slowest, t).
-    Each head joined with each row, in order, gives the solutions in the
-    order of :func:`solutions_z`.  t is :func:`_tail_size` for the points to
-    be written (``points``, at most s**r): about sqrt(points) rows.
+    tail): {t: the tail table of every placement of the fastest atoms over
+    the columns x_1..x_n, or with ``z_space`` the 2**n minterm cells}, and
+    a lazy iterator of (the masks of a placement of the slowest in the live
+    columns, t).  Each head joined with each row, in order, gives the
+    solutions in the order of :func:`solutions_z`.  t is :func:`_tail_size`
+    for the points to be written (``points``, at most s**r): about
+    sqrt(points) rows.
     """
     check_rank(rank)
     surviving = system.surviving
     s = len(surviving)
     width = system.num_minterms if z_space else system.n
-    # The columns an atom placed on minterm alpha lands in: its own cell,
-    # or each x_i whose bit is set in alpha (found on first use, so a
-    # 16-variable stream that places 8 atoms reads 8 minterms, not 65536).
-    columns = MaskCache(
-        lambda alpha: (alpha,) if z_space else [i for i in range(width) if alpha >> i & 1]
-    )
-
-    def place(row, atoms) -> list[int]:
-        row = list(row)
-        for atom, alpha in atoms:
-            for i in columns[alpha]:
-                row[i] |= 1 << atom
-        return row
-
     points = s**rank if points is None else min(points, s**rank)
     t = _tail_size(lambda t: (s**t, -(-points // s**t)), rank, width)
-    zeros = (0,) * width
-    tails = [zeros]
-    for atom in reversed(range(rank - t, rank)):
-        tails = [tuple(place(tail, [(atom, alpha)])) for alpha in surviving for tail in tails]
+    # With fewer than two survivors there is at most one point, and the
+    # first column (or the one survivor's cell) stands in for a live one.
+    if z_space:
+        live, fixed = surviving or (0,), [0] * width
+        # The live column of a survivor's cell is its index among the survivors.
+        place = MaskCache(lambda a: (a - (system.zeroed_mask & ~(-1 << a)).bit_count(),))
+    else:
+        every = (1 << system.num_minterms) - 1 ^ system.zeroed_mask
+        shares = [every & plane for plane in _index_planes(system.n)]
+        live = tuple(i for i, share in enumerate(shares) if 0 != share != every) or (0,)
+        fixed = [(1 << rank) - 1 if share == every else 0 for share in shares]
+        place = MaskCache(lambda alpha: [k for k, i in enumerate(live) if alpha >> i & 1])
+    # With t = 0 the one row holds slot k for live column k.  Otherwise a
+    # row is a 16-bit field per live column, k * 2**t plus bit b for tail
+    # atom rank - t + b on a survivor that lands there: atom b stays on a
+    # survivor for s**(t-1-b) rows, s**b times over.  Fields stay below
+    # len(live) * 2**t <= _TAIL_TABLE_CELLS.
+    slots = range(len(live))
+    if t:
+        import struct
+
+        rows, size = s**t, 2 * len(live)
+        offsets = struct.pack(f"<{len(live)}H", *(k << t for k in slots))
+        packed = int.from_bytes(offsets * rows, "little")
+        units = [sum(1 << 16 * k for k in place[a]).to_bytes(size, "little") for a in surviving]
+        for b in range(t):
+            runs = b"".join(unit * s ** (t - 1 - b) for unit in units)
+            packed |= int.from_bytes(runs * s**b, "little") << b
+        slots = struct.unpack(f"<{rows * len(live)}H", packed.to_bytes(rows * size, "little"))
+
+    def masks(head) -> list[int]:
+        masks = [0] * len(live)
+        for atom, alpha in enumerate(head):
+            for k in place[alpha]:
+                masks[k] |= 1 << atom
+        return masks
+
     heads = itertools.product(surviving, repeat=rank - t)
-    return {t: tails}, ((place(zeros, enumerate(head)), t) for head in heads)
+    table = _TailTable(slots=slots, live=live, fixed=fixed)
+    return {t: table}, ((masks(head), t) for head in heads)
 
 
 def solution_masks(
@@ -167,7 +200,19 @@ def solution_masks(
     prefix, with one row of the table of the fastest atoms
     (:func:`split_atoms`), so the stream stays lazy.
     """
-    split = split_atoms(system, rank, z_space=z_space)
+    tails, heads = split_atoms(system, rank, z_space=z_space)
+    ((t, table),) = tails.items()
+    slot_masks = [j << rank - t for j in range(1 << t)] * len(table.live)
+    tail = map(slot_masks.__getitem__, table.slots)
+
+    def widen(masks) -> list[int]:  # the live columns' masks among the fixed
+        point = list(table.fixed)
+        for column, mask in zip(table.live, masks):
+            point[column] = mask
+        return point
+
+    rows = [widen(row) for row in zip(*[tail] * len(table.live))]
+    split = {t: rows}, ((widen(head), key) for head, key in heads)
     yield from _joined(split, lambda head, tail: tuple(map(or_, head, tail)))
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolgeo.algebra import MAX_RANK, Element, bits_text, format_element
-from boolgeo.cli import _cell_text
+from boolgeo.cli import _cells
 from boolgeo.ortho import OrthogonalSystem, mask_text, minterm_labels
 
 SEPARATORS = (",", ", ", " ", " = 0\n", " = 0, ")
@@ -65,9 +65,9 @@ def test_cell_texts_are_the_per_atom_renderings(case):
     e = Element(mask, rank)
     text = old_format_element(e)
     assert str(e) == format_element(e) == text
-    assert _cell_text("text", rank)(mask) == text
-    assert _cell_text("csv", rank)(mask) == csv_field(text)
-    assert _cell_text("json", rank)(mask) == json.dumps(set_bits(mask, rank))
+    assert _cells("text", rank)[mask] == text
+    assert _cells("csv", rank)[mask] == csv_field(text)
+    assert _cells("json", rank)[mask] == json.dumps(set_bits(mask, rank))
 
 
 @settings(max_examples=300, deadline=None)

@@ -123,8 +123,12 @@ def group_limits(n, mask, rank, z_space):
 
 
 # (n, forced-zero mask): one column with two survivors and with one, then
-# 2, 3 and 14 survivors; s**r stays within a few hundred points.
+# 2, 3 and 14 survivors; s**r stays within a few hundred points.  Then fixed
+# columns, written as literals: x1 set in every survivor with four
+# forced-zero cells, x1 clear in every survivor, and x1 set, x2 free and x3
+# clear in the survivors 1 and 3 of n = 3 and of n = 2.
 GROUP_SYSTEMS = [(1, 0), (1, 1), (2, 0b0110), (3, 0b1001_0010), (4, 1 << 1 | 1 << 6)]
+GROUP_SYSTEMS += [(3, 0b0101_0101), (3, 0b1010_1010), (3, 0b1111_0101), (2, 0b0101)]
 
 
 @pytest.mark.parametrize("z_space", [False, True])
@@ -150,3 +154,49 @@ def test_solve_bytes_past_the_cached_cells(z_space, limit):
     code, out, err = invoke(argv + ["--z"] * z_space, json_input(1, 0))
     assert (code, err) == (0, "")
     assert out == oracle.solve_output(1, 0, 17, limit, "json", z_space, ["x1"])
+
+
+@pytest.mark.parametrize("z_space", [False, True])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("rank", [8, 9])
+@pytest.mark.parametrize("n, mask", [(1, 0), (2, 0b0101)])
+def test_solve_bytes_on_either_side_of_the_byte_table_cells(n, mask, rank, fmt, z_space):
+    # Cells up to rank 8 are the byte table's texts; at rank 9 they are
+    # rendered one mask at a time.  x1 of the second system is every atom.
+    for limit in group_limits(n, mask, rank, z_space):
+        argv = ["solve", "--rank", str(rank), "--format", fmt, "--limit", str(limit)]
+        code, out, err = invoke(argv + ["--z"] * z_space, json_input(n, mask))
+        assert (code, err) == (0, "")
+        names = [f"x{i + 1}" for i in range(n)]
+        assert out == oracle.solve_output(n, mask, rank, limit, fmt, z_space, names), limit
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "n, mask, rank, z_space",
+    [(1, 0, 14, False), (4, ~(1 << 5 | 1 << 12) & 0xFFFF, 10, True)],
+    ids=["n1-r14", "z-n4-s2-r10"],
+)
+def test_solve_bytes_of_a_table_at_the_cell_cap(n, mask, rank, z_space, fmt):
+    # Every atom in the tail: one head and a table of _TAIL_TABLE_CELLS cells.
+    o = OrthogonalSystem(n, mask)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solve, "_tail_size", lambda *args: rank)
+        (table,) = solve.split_atoms(o, rank, z_space=z_space)[0].values()
+        assert len(table) * (o.num_minterms if z_space else n) == solve._TAIL_TABLE_CELLS
+        count = solve.count_solutions(o, rank)
+        for limit in (1, count - 1, count):
+            argv = ["solve", "--rank", str(rank), "--format", fmt, "--limit", str(limit)]
+            code, out, err = invoke(argv + ["--z"] * z_space, json_input(n, mask))
+            assert (code, err) == (0, "")
+            names = [f"x{i + 1}" for i in range(n)]
+            assert out == oracle.solve_output(n, mask, rank, limit, fmt, z_space, names), limit
+
+
+def test_solve_bytes_of_one_row_past_2_16_cells():
+    # At n = 17 a z-space point has 2**17 cells: more columns than a 16-bit
+    # slot number could name, which a one-row table never packs.
+    argv = ["solve", "--rank", "1", "--z", "--max-vars", "17", "--limit", "2"]
+    code, out, err = invoke(argv, json_input(17, 0))
+    assert (code, err) == (0, "")
+    assert out == oracle.solve_output(17, 0, 1, 2, "text", True, [])

@@ -85,6 +85,17 @@ class TestTruthTable:
         with pytest.raises(MissingVariableError):
             truth_table(Var("y"), ("x1",))
 
+    def test_duplicate_variable_names(self):
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            truth_table(X1, ("x1", "x2", "x1"))
+
+    def test_each_variable_is_its_column(self):
+        for n in range(1, 8):
+            names = tuple(f"x{i + 1}" for i in range(n))
+            for i, name in enumerate(names):
+                expected = sum(1 << alpha for alpha in range(1 << n) if alpha >> i & 1)
+                assert truth_table(Var(name), names) == expected
+
     def test_matches_pointwise_evaluation(self):
         rng = random.Random(7)
         names = ("x1", "x2", "x3")
