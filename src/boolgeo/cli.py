@@ -55,7 +55,7 @@ from .syntax import parse_system
 # starting the command line imports none of them.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Sequence
+    from collections.abc import Sequence
     from decimal import Decimal
     from fractions import Fraction
     from typing import IO
