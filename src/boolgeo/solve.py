@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 from .algebra import Element, check_rank
 from .errors import MissingVariableError, RankMismatchError
-from .ortho import OrthogonalSystem, XPoint, ZPoint, _index_planes, orthogonalize
+from .ortho import OrthogonalSystem, XPoint, ZPoint, orthogonalize
 from .syntax import System, Term, compile_term, run
 
 
@@ -120,10 +120,10 @@ def _joined(split: tuple[dict, Iterator], join: Callable) -> Iterator:
 
 class _TailTable(SimpleNamespace):
     """A split's tail table: for each row, in order, and each live column k
-    (``live[k]``, a column that some survivors land in and some do not) the
-    slot k * 2**t + j, where bit b of j stands for tail atom rank - t + b in
-    that column; and ``fixed``, each other column's mask in every point
-    (every atom where every survivor lands, else none)."""
+    (``live[k]``: each x_i, or each surviving minterm's cell) the slot
+    k * 2**t + j, where bit b of j stands for tail atom rank - t + b in that
+    column; and ``fixed``, each column's mask in every point, read for the
+    columns that are not live (the forced-zero cells, empty)."""
 
     def __len__(self) -> int:
         return len(self.slots) // len(self.live)
@@ -147,18 +147,18 @@ def split_atoms(
     width = system.num_minterms if z_space else system.n
     points = s**rank if points is None else min(points, s**rank)
     t = _tail_size(lambda t: (s**t, -(-points // s**t)), rank, width)
-    # With fewer than two survivors there is at most one point, and the
-    # first column (or the one survivor's cell) stands in for a live one.
+    # With no survivor (or no variable) column 0 stands in for a live one.
+    # An x_i that every survivor sets or clears stays live: folding it saves
+    # work only on inputs whose survivors share a bit, so a request's cost
+    # would turn on which survivors it drew rather than on n, s and r.
+    fixed = [0] * width
     if z_space:
-        live, fixed = surviving or (0,), [0] * width
+        live = surviving or (0,)
         # The live column of a survivor's cell is its index among the survivors.
         place = MaskCache(lambda a: (a - (system.zeroed_mask & ~(-1 << a)).bit_count(),))
     else:
-        every = (1 << system.num_minterms) - 1 ^ system.zeroed_mask
-        shares = [every & plane for plane in _index_planes(system.n)]
-        live = tuple(i for i, share in enumerate(shares) if 0 != share != every) or (0,)
-        fixed = [(1 << rank) - 1 if share == every else 0 for share in shares]
-        place = MaskCache(lambda alpha: [k for k, i in enumerate(live) if alpha >> i & 1])
+        live = tuple(range(width)) or (0,)
+        place = MaskCache(lambda alpha: [i for i in live if alpha >> i & 1])
     # With t = 0 the one row holds slot k for live column k.  Otherwise a
     # row is a 16-bit field per live column, k * 2**t plus bit b for tail
     # atom rank - t + b on a survivor that lands there: atom b stays on a

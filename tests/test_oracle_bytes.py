@@ -123,10 +123,11 @@ def group_limits(n, mask, rank, z_space):
 
 
 # (n, forced-zero mask): one column with two survivors and with one, then
-# 2, 3 and 14 survivors; s**r stays within a few hundred points.  Then fixed
-# columns, written as literals: x1 set in every survivor with four
-# forced-zero cells, x1 clear in every survivor, and x1 set, x2 free and x3
-# clear in the survivors 1 and 3 of n = 3 and of n = 2.
+# 2, 3 and 14 survivors; s**r stays within a few hundred points.  Then
+# columns that are the same in every point (with --z the forced-zero cells
+# are written as literals): x1 set in every survivor with four forced-zero
+# cells, x1 clear in every survivor, and x1 set, x2 free and x3 clear in the
+# survivors 1 and 3 of n = 3 and of n = 2.
 GROUP_SYSTEMS = [(1, 0), (1, 1), (2, 0b0110), (3, 0b1001_0010), (4, 1 << 1 | 1 << 6)]
 GROUP_SYSTEMS += [(3, 0b0101_0101), (3, 0b1010_1010), (3, 0b1111_0101), (2, 0b0101)]
 
