@@ -306,6 +306,8 @@ def _load_ortho(text: str, max_vars: int | None):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
+        except RecursionError:
+            raise ParseError("bad JSON: nested too deeply") from None
         o = OrthogonalSystem.from_json_dict(data)
         if max_vars is not None or MAX_VARS_ENV in os.environ:
             check_var_limit(o.n, max_vars)
@@ -394,7 +396,7 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
     ((t, table),) = tails.items()
     cells = _cells(args.fmt, rank)
     # The literals around the live columns' cells: one before the first, then
-    # one after each, with each fixed column's cell folded in.
+    # one after each, with each forced-zero cell's text folded in.
     literals, text, live = [], separator + opening, set(table.live)
     for column, prefix in enumerate(prefixes):
         text += (between if column else "") + prefix
@@ -402,7 +404,7 @@ def _cmd_solve(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
             literals.append(text)
             text = ""
         else:
-            text += cells[table.fixed[column]]
+            text += cells[0]
     literals.append(text + closing)
     rows, width, columns = len(table), len(live), []
     if rows == 1:  # one row shares no text: its cells go between the literals
@@ -459,23 +461,23 @@ def _number_block(k: int) -> tuple[str, ...]:
     return tuple(str(k) + d for d in _decimals(3)) if k else _decimals(1)
 
 
-def _write_groups(out, heads, total, rows, fill, opening, separator, numbering=None):
-    """Writes decompose's first ``total`` items, one ``str.join`` per group.
+def _write_groups(out, heads, rows, fill, opening, separator, numbering=None):
+    """Writes decompose's items, one ``str.join`` per group.
 
     ``heads`` yields (head, key); the head's group has an item per entry of
     ``rows[key]``: the index of its text in ``fill(head)`` and the literal
     after it.  An item is ``opening``, with ``numbering`` its number from 1
     and ``numbering``, then its text; ``separator`` joins items.  The
-    literals are laid out once per key (and for a last group cut short)
-    around empty slots, which one ``operator.itemgetter`` and, for numbers,
-    one slice of a block of a thousand texts fill."""
+    literals are laid out once per key around empty slots, which one
+    ``operator.itemgetter`` and, for numbers, one slice of a block of a
+    thousand texts fill."""
     numbered = numbering is not None
     step = 2 + 2 * numbered  # the parts of one item
     texts_at = slice(3, None, 4) if numbered else slice(1, None, 2)
 
-    def layout(key, count):
-        slots, afters = rows[key]
-        picks, afters = (slots, afters) if count == len(slots) else (slots[:count], afters[:count])
+    def layout(key):
+        picks, afters = rows[key]
+        count = len(picks)
         parts = [""] * (count * step + 1)
         parts[0] = opening
         if numbered:
@@ -488,12 +490,10 @@ def _write_groups(out, heads, total, rows, fill, opening, separator, numbering=N
             return parts, lambda texts: (texts[picks[0]],), count
         return parts, operator.itemgetter(*picks), count
 
-    layouts = solve.MaskCache(lambda key: layout(key, len(rows[key][0])))
+    layouts = solve.MaskCache(layout)
     lead, written, block, block_texts = "", 0, 0, _number_block(0)
-    for head, key in heads if total else ():
+    for head, key in heads:
         parts, pick, count = layouts[key]
-        if count > total - written:  # the last group, cut short
-            parts, pick, count = layout(key, total - written)
         if numbered:
             start = written + 1 - 1000 * block
             texts = block_texts[start : start + count]
@@ -505,8 +505,6 @@ def _write_groups(out, heads, total, rows, fill, opening, separator, numbering=N
         parts[texts_at] = pick(fill(head))
         out.write(lead + "".join(parts))
         lead, written = separator, written + count
-        if written == total:
-            break
 
 
 def _cmd_decompose(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
@@ -546,7 +544,7 @@ def _cmd_decompose(args: SimpleNamespace, stdin: IO[str], out: IO[str]) -> None:
         text = render(head)
         return (text + between, text + closing) if text else ("", empty)
 
-    _write_groups(out, heads, len(parts), rows, fill, opening, separator, numbering)
+    _write_groups(out, heads, rows, fill, opening, separator, numbering)
     out.write(ending)
 
 

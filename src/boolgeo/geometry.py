@@ -253,8 +253,6 @@ def irr_count(system: OrthogonalSystem, rank: int) -> int:
 def irreducibility_rank(system: OrthogonalSystem) -> int:
     """Least algebra rank at which the solution set is irreducible:
     the count of surviving minterms, or 0 for inconsistent systems."""
-    if not is_consistent(system):
-        return 0
     return system.num_minterms - system.num_zeroed
 
 

@@ -263,9 +263,11 @@ class OrthogonalSystem(Record):
                 return cls(n, mask)
         except (TypeError, ValueError, LimitExceededError):
             pass
+        from reprlib import repr as shown  # a bad entry is echoed cut short
+
         for alpha in indices:
             if not isinstance(alpha, int):
-                raise TypeError(f"minterm index {alpha!r} is not an integer")
+                raise TypeError(f"minterm index {shown(alpha)} is not an integer")
             if not (alpha >= 0 and alpha.bit_length() <= n):
                 raise ValueError(f"minterm index {alpha} out of range for n={n}")
         return cls(n, _mask_from_indices(n, indices))
@@ -304,7 +306,9 @@ class OrthogonalSystem(Record):
             raise ParseError("orthogonal-system JSON must be an object")
         layout = data.get("layout", "lsb-first")
         if layout != "lsb-first":
-            raise ParseError(f"unsupported layout {layout!r} (expected 'lsb-first')")
+            from reprlib import repr as shown  # echoed cut short
+
+            raise ParseError(f"unsupported layout {shown(layout)} (expected 'lsb-first')")
         n = data.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ParseError("'n' must be a positive integer")
@@ -339,11 +343,14 @@ class OrthogonalSystem(Record):
 
 
 def _first_bad_index(n: int, indices: list) -> None:
-    """Raise the ParseError for the first invalid entry of ``indices``."""
+    """Raise the ParseError for the first invalid entry of ``indices``,
+    echoing an entry that is not an int cut short, however large it is."""
+    from reprlib import repr as shown
+
     seen = set()
     for alpha in indices:
         if not isinstance(alpha, int) or isinstance(alpha, bool):
-            raise ParseError(f"minterm index {alpha!r} is not an integer")
+            raise ParseError(f"minterm index {shown(alpha)} is not an integer")
         if not (alpha >= 0 and alpha.bit_length() <= n):
             raise ParseError(f"minterm index {alpha} out of range for n={n}")
         if alpha in seen:

@@ -122,8 +122,8 @@ class _TailTable(SimpleNamespace):
     """A split's tail table: for each row, in order, and each live column k
     (``live[k]``: each x_i, or each surviving minterm's cell) the slot
     k * 2**t + j, where bit b of j stands for tail atom rank - t + b in that
-    column; and ``fixed``, each column's mask in every point, read for the
-    columns that are not live (the forced-zero cells, empty)."""
+    column.  A column that is not live is a forced-zero cell, empty in every
+    point."""
 
     def __len__(self) -> int:
         return len(self.slots) // len(self.live)
@@ -147,17 +147,16 @@ def split_atoms(
     width = system.num_minterms if z_space else system.n
     points = s**rank if points is None else min(points, s**rank)
     t = _tail_size(lambda t: (s**t, -(-points // s**t)), rank, width)
-    # With no survivor (or no variable) column 0 stands in for a live one.
-    # An x_i that every survivor sets or clears stays live: folding it saves
-    # work only on inputs whose survivors share a bit, so a request's cost
-    # would turn on which survivors it drew rather than on n, s and r.
-    fixed = [0] * width
+    # With no survivor column 0 stands in for a live one.  An x_i that every
+    # survivor sets or clears stays live: folding it saves work only on
+    # inputs whose survivors share a bit, so a request's cost would turn on
+    # which survivors it drew rather than on n, s and r.
     if z_space:
         live = surviving or (0,)
         # The live column of a survivor's cell is its index among the survivors.
         place = MaskCache(lambda a: (a - (system.zeroed_mask & ~(-1 << a)).bit_count(),))
     else:
-        live = tuple(range(width)) or (0,)
+        live = tuple(range(width))
         place = MaskCache(lambda alpha: [i for i in live if alpha >> i & 1])
     # With t = 0 the one row holds slot k for live column k.  Otherwise a
     # row is a 16-bit field per live column, k * 2**t plus bit b for tail
@@ -185,7 +184,7 @@ def split_atoms(
         return masks
 
     heads = itertools.product(surviving, repeat=rank - t)
-    table = _TailTable(slots=slots, live=live, fixed=fixed)
+    table = _TailTable(slots=slots, live=live)
     return {t: table}, ((masks(head), t) for head in heads)
 
 
@@ -204,9 +203,10 @@ def solution_masks(
     ((t, table),) = tails.items()
     slot_masks = [j << rank - t for j in range(1 << t)] * len(table.live)
     tail = map(slot_masks.__getitem__, table.slots)
+    width = system.num_minterms if z_space else system.n
 
-    def widen(masks) -> list[int]:  # the live columns' masks among the fixed
-        point = list(table.fixed)
+    def widen(masks) -> list[int]:  # the live columns' masks among the empty cells
+        point = [0] * width
         for column, mask in zip(table.live, masks):
             point[column] = mask
         return point

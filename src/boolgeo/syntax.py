@@ -16,13 +16,13 @@ optional declaration header.  Files conventionally use the ``.beq``
 extension, UTF-8 encoded.
 
 Terms nest at most :data:`MAX_TERM_DEPTH` levels deep; deeper input is a
-:class:`ParseError`, never a ``RecursionError``.
+:class:`ParseError`, never a ``RecursionError``.  Parsing, evaluation and
+formatting loop over postfix programs, so they take terms of any depth.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from itertools import chain
 
 from ._record import Record, restore, setfield
@@ -93,11 +93,10 @@ class System(Record):
     Declared variables may go unused by the equations; they still count
     toward the system's variable space.  ``programs`` holds the postfix
     programs of each equation's two sides, which equality and hashing
-    compare; ``equations``, the Term AST, is built from them when first read.
+    compare; ``equations``, the Term AST, is built from them on each read.
     """
 
-    # The instance dict holds the cached equations.
-    __slots__ = ("variables", "programs", "__dict__")
+    __slots__ = ("variables", "programs")
 
     def __init__(self, variables, equations):
         variables, equations = tuple(variables), tuple(equations)
@@ -112,13 +111,12 @@ class System(Record):
                 raise ValueError(f"equation uses undeclared variable {name!r}")
         setfield(self, "variables", variables)
         setfield(self, "programs", programs)
-        self.__dict__["equations"] = equations
 
     @classmethod
     def _from_programs(cls, variables, programs) -> "System":
         return restore(cls, (variables, programs))
 
-    @cached_property
+    @property
     def equations(self) -> tuple[Equation, ...]:
         return tuple(Equation(_build(lhs), _build(rhs)) for lhs, rhs in self.programs)
 
@@ -136,8 +134,8 @@ def term_variables(t: Term) -> list[str]:
 # A program is a term in postfix order: a tuple of variable names (str) and
 # these opcodes.  A leaf pushes its value, _NOT complements the top of the
 # stack, _JOIN and _MEET replace the top two with one.  Parsing, the
-# variable scans and both evaluators loop over programs, so no term depth
-# can exhaust the interpreter stack.
+# variable scans, evaluation and formatting loop over programs, so no term
+# depth can exhaust the interpreter stack.
 _ZERO, _ONE, _JOIN, _MEET, _NOT = range(5)
 
 
@@ -167,20 +165,32 @@ def compile_term(t: Term) -> tuple:
     return tuple(out)
 
 
-def _build(program) -> Term:
-    """The Term AST of a postfix program."""
+def _fold(program, leaf, join, meet, complement):
+    """``program`` folded on one stack: each name or constant opcode becomes
+    ``leaf(op)``, and each operator applies its function to the top one or
+    two values."""
     stack = []
     for op in program:
-        if op.__class__ is str:
-            stack.append(Var(op))
-        elif op is _NOT:
-            stack[-1] = Complement(stack[-1])
+        if op is _NOT:
+            stack[-1] = complement(stack[-1])
         elif op is _JOIN or op is _MEET:
             right = stack.pop()
-            stack[-1] = (Join if op is _JOIN else Meet)(stack[-1], right)
+            stack[-1] = (join if op is _JOIN else meet)(stack[-1], right)
         else:
-            stack.append(ONE if op is _ONE else ZERO)
+            stack.append(leaf(op))
     return stack[0]
+
+
+def _build(program) -> Term:
+    """The Term AST of a postfix program."""
+    leaf = {_ZERO: ZERO, _ONE: ONE}.get
+    return _fold(program, lambda op: leaf(op) or Var(op), Join, Meet, Complement)
+
+
+def _text(program) -> str:
+    """The fully parenthesized text of a postfix program."""
+    leaf, join, meet = {_ZERO: "0", _ONE: "1"}.get, "({} + {})".format, "({} * {})".format
+    return _fold(program, lambda op: leaf(op, op), join, meet, "!({})".format)
 
 
 def _names(items) -> list[str]:
@@ -228,10 +238,10 @@ _KIND = {
 
 # Deepest term accepted, counted two ways: binary operators plus
 # complements on any root-to-leaf path of the tree (so a flat chain of k
-# joins is k - 1 deep), and parentheses open at once.  The parser and both
-# evaluators loop over postfix programs and take any depth; the bound
-# protects what still recurses over the Term AST, format_term and the
-# generated __eq__ and __hash__ of the node classes.
+# joins is k - 1 deep), and parentheses open at once.  Everything here
+# loops over postfix programs and takes any depth; the bound protects what
+# still recurses over the Term AST, the generated __eq__, __hash__ and
+# repr of the node classes.
 MAX_TERM_DEPTH = 200
 _TOO_DEEP = f"term nested more than {MAX_TERM_DEPTH} levels deep"
 
@@ -329,15 +339,10 @@ def _bounded_term(tokens: list[str], kinds: list, i: int) -> tuple[tuple, int]:
     than MAX_TERM_DEPTH tokens needs the height pass."""
     program, end = _term(tokens, kinds, i)
     if end - i > MAX_TERM_DEPTH:
-        heights = []
-        for op in program:
-            if op is _NOT:
-                heights[-1] += 1
-            elif op is _JOIN or op is _MEET:
-                heights.append(max(heights.pop(), heights.pop()) + 1)
-            else:
-                heights.append(0)
-        if heights[0] > MAX_TERM_DEPTH:
+        def higher(left: int, right: int) -> int:  # one level above both operands
+            return (left if left > right else right) + 1
+
+        if _fold(program, lambda op: 0, higher, higher, (1).__add__) > MAX_TERM_DEPTH:
             raise _Fail(i, _TOO_DEEP)
     return program, end
 
@@ -443,17 +448,7 @@ def parse_term(text: str) -> Term:
 
 def format_term(t: Term) -> str:
     """Fully parenthesized canonical text; parsing it back yields ``t``."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return "1" if t.value else "0"
-    if isinstance(t, Join):
-        return f"({format_term(t.left)} + {format_term(t.right)})"
-    if isinstance(t, Meet):
-        return f"({format_term(t.left)} * {format_term(t.right)})"
-    if isinstance(t, Complement):
-        return f"!({format_term(t.term)})"
-    raise TypeError(f"not a term: {t!r}")
+    return _text(compile_term(t))
 
 
 def format_equation(eq: Equation) -> str:
@@ -464,5 +459,5 @@ def format_system(s: System) -> str:
     """Render with an explicit ``vars`` header so round trips preserve
     variable order and unused declarations."""
     lines = ["vars " + ", ".join(s.variables) + ";"]
-    lines.extend(format_equation(eq) for eq in s.equations)
+    lines.extend(f"{_text(lhs)} = {_text(rhs)}" for lhs, rhs in s.programs)
     return "\n".join(lines)

@@ -355,6 +355,20 @@ class TestExitCodes:
         code, _, err = invoke(["orthogonalize", "-e", "{not json"])
         assert code == 1
 
+    def test_json_nested_past_the_decoder_is_1(self):
+        # json.loads raises RecursionError here on 3.10-3.12; 3.13 decodes it
+        # and the entry is rejected as no index.  Either way, one short line.
+        text = '{"n": 2, "A": ' + "[" * 5000 + "]" * 5000 + "}"
+        code, out, err = invoke(["orthogonalize"], text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+    def test_a_deep_entry_is_echoed_cut_short(self):
+        text = '{"n": 2, "A": [' + "[" * 900 + "]" * 900 + "]}"
+        code, out, err = invoke(["orthogonalize"], text)
+        assert (code, out) == (1, "")
+        assert err == "error: minterm index [[[[[[[...]]]]]]] is not an integer\n"
+
     def test_deep_nesting_is_1(self):
         text = "(" * 1200 + "x1" + ")" * 1200 + " = x1 * x2"
         code, out, err = invoke(["orthogonalize"], text)
@@ -383,6 +397,9 @@ class TestExitCodes:
         monkeypatch.setenv("BOOLGEO_MAX_VARS", "1")
         code, _, _ = invoke(["orthogonalize", "-e", "x1 = x2"])
         assert code == 2
+        monkeypatch.setenv("BOOLGEO_MAX_VARS", "0")
+        code, out, err = invoke(["orthogonalize", "-e", "x1 = x2"])
+        assert (code, out, err) == (4, "", "error: BOOLGEO_MAX_VARS must be >= 1, got 0\n")
 
     def test_explicit_limit_applies_to_json_input(self, monkeypatch):
         text = json.dumps({"n": 20, "A": [], "layout": "lsb-first"})

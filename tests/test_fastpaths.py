@@ -132,6 +132,23 @@ def test_from_indices_names_the_first_entry_that_is_not_an_integer(indices, bad)
         OrthogonalSystem.from_indices(2, indices)
 
 
+def test_entries_that_are_not_integers_are_echoed_cut_short():
+    deep, long = [], "x" * 5000
+    for _ in range(900):
+        deep = [deep]
+    for entry, shown in ((deep, "[[[[[[[...]]]]]]]"), (long, "'xxxxxxxxxxxx...xxxxxxxxxxxxx'")):
+        message = f"minterm index {shown} is not an integer"
+        with pytest.raises(TypeError) as info:
+            OrthogonalSystem.from_indices(2, [0, entry])
+        assert str(info.value) == message
+        with pytest.raises(ParseError) as info:
+            OrthogonalSystem.from_json_dict({"n": 2, "A": [0, entry]})
+        assert str(info.value) == message
+    with pytest.raises(ParseError) as info:
+        OrthogonalSystem.from_json_dict({"n": 2, "A": [], "layout": long})
+    assert str(info.value) == f"unsupported layout {shown} (expected 'lsb-first')"
+
+
 def test_from_indices_accepts_bools_and_rejects_negatives_that_land_in_range():
     assert OrthogonalSystem.from_indices(2, [True, 2]).zeroed_mask == 0b110
     for indices in ([-1], [0, -4], [-3, 2], [-5], [-6], [0, -6], [1, -9]):

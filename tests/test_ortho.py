@@ -300,6 +300,8 @@ class TestOrthogonalSystemType:
             OrthogonalSystem.from_json_dict({"n": 2, "A": [1, 1]})
         with pytest.raises(ParseError):
             OrthogonalSystem.from_json_dict({"n": 2, "A": 3})
+        with pytest.raises(ParseError, match="^orthogonal-system JSON must be an object$"):
+            OrthogonalSystem.from_json_dict([1])
 
     def test_render_text(self):
         o = OrthogonalSystem.from_indices(2, [2])
@@ -335,6 +337,10 @@ class TestXPointType:
     def test_from_mapping_missing_name(self):
         with pytest.raises(MissingVariableError):
             XPoint.from_mapping({"a": Element.one(1)}, order=("a", "b"))
+
+    def test_names_and_values_match_in_length(self):
+        with pytest.raises(ValueError, match="^names and values differ in length$"):
+            XPoint(("a",), ())
 
     def test_lookup_miss_is_key_error(self):
         p = XPoint(("a",), (Element.one(1),))

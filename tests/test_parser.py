@@ -276,6 +276,10 @@ def invalid_choice(argument, value, choices):
         (["--bogus"], {"the following arguments are required: command"}),
         (["stats", "--format", "xml"], invalid_choice("--format", "xml", ("text", "json", "csv"))),
         (["iso", "a.beq", "--max-vars", "q"], {"argument --max-vars: invalid int value: 'q'"}),
+        # Checked after parsing, before any output.
+        (["solve", "--rank", "1", "--limit", "-1", "-e", "x1 = 1"], {"--limit must be nonnegative"}),
+        (["stats", "--avg-ir", "4", "--samples", "0"], {"--samples must be positive"}),
+        (["stats", "--avg-irr", "4", "x"], {"--avg-irr R must be an integer"}),
     ],
 )
 def test_usage_error_exits_4(argv, messages, capsys):

@@ -42,6 +42,8 @@ class TestAvgIrrClosed:
             avg_irr_closed(4, 0)
         with pytest.raises(ValueError):
             avg_irr_closed(0, 1)
+        with pytest.raises(ValueError, match=r"^need 1 <= r <= m, got r=9, m=4$"):
+            avg_irr_closed(4, 9)
 
 
 class TestAvgIrrExhaustive:
@@ -86,6 +88,10 @@ def test_binomial_identity_chain():
 class TestAsymptoticIrr:
     def test_direct_value(self):
         assert asymptotic_irr(4, 2) == 1.5
+
+    def test_bounds(self):
+        with pytest.raises(ValueError, match=r"^need 0 <= r <= m, got r=9, m=4$"):
+            asymptotic_irr(4, 9)
 
     def test_ratio_converges_monotonically(self):
         ratios = []

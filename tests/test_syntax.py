@@ -166,6 +166,17 @@ class TestFormat:
         s = parse_system("vars x1, x2, x3;\nx2 = 1; x1 * x3 = x2")
         assert parse_system(format_system(s)) == s
 
+    def test_terms_deeper_than_the_interpreter_stack_format(self):
+        # Built through the API, past what the parser accepts; formatting
+        # loops over the postfix program and does not recurse.
+        t = X1
+        for _ in range(5000):
+            t = Join(t, X2)
+        text = format_term(t)
+        assert text == "(" * 5000 + "x1" + " + x2)" * 5000
+        system = format_system(System(("x1", "x2"), [Equation(t, Complement(X1))]))
+        assert system == f"vars x1, x2;\n{text} = !(x1)"
+
 
 names = st.sampled_from(["x1", "x2", "x3", "a", "b_2"])
 terms = st.recursive(
