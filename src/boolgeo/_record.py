@@ -34,7 +34,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        fields = cls.__slots__
         get = attrgetter(*fields)
         cls.__match_args__ = fields
         # The field values as a tuple, which attrgetter of one name is not.

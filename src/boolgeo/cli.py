@@ -306,8 +306,8 @@ def _load_ortho(text: str, max_vars: int | None):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
-        except RecursionError:
-            raise ParseError("bad JSON: nested too deeply") from None
+        except (ValueError, RecursionError) as exc:  # an int past the digit cap, or deep nesting
+            raise ParseError(f"bad JSON: {exc}") from None
         o = OrthogonalSystem.from_json_dict(data)
         if max_vars is not None or MAX_VARS_ENV in os.environ:
             check_var_limit(o.n, max_vars)

@@ -263,13 +263,11 @@ class OrthogonalSystem(Record):
                 return cls(n, mask)
         except (TypeError, ValueError, LimitExceededError):
             pass
-        from reprlib import repr as shown  # a bad entry is echoed cut short
-
         for alpha in indices:
             if not isinstance(alpha, int):
-                raise TypeError(f"minterm index {shown(alpha)} is not an integer")
+                raise TypeError(f"minterm index {_shown(alpha)} is not an integer")
             if not (alpha >= 0 and alpha.bit_length() <= n):
-                raise ValueError(f"minterm index {alpha} out of range for n={n}")
+                raise ValueError(f"minterm index {_shown(alpha)} out of range for n={n}")
         return cls(n, _mask_from_indices(n, indices))
 
     @property
@@ -306,9 +304,7 @@ class OrthogonalSystem(Record):
             raise ParseError("orthogonal-system JSON must be an object")
         layout = data.get("layout", "lsb-first")
         if layout != "lsb-first":
-            from reprlib import repr as shown  # echoed cut short
-
-            raise ParseError(f"unsupported layout {shown(layout)} (expected 'lsb-first')")
+            raise ParseError(f"unsupported layout {_shown(layout)} (expected 'lsb-first')")
         n = data.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ParseError("'n' must be a positive integer")
@@ -342,19 +338,24 @@ class OrthogonalSystem(Record):
         return text + " = 0" if text else ""
 
 
-def _first_bad_index(n: int, indices: list) -> None:
-    """Raise the ParseError for the first invalid entry of ``indices``,
-    echoing an entry that is not an int cut short, however large it is."""
-    from reprlib import repr as shown
+def _shown(entry) -> str:
+    """``entry`` echoed cut short; an int past 128 bits (or the digit cap) by its size."""
+    if isinstance(entry, int) and entry.bit_length() > 128:
+        return f"<{entry.bit_length()}-bit integer>"
+    from reprlib import repr  # imported on the error path only
+    return repr(entry)
 
+
+def _first_bad_index(n: int, indices: list) -> None:
+    """Raise the ParseError for the first invalid entry of ``indices``."""
     seen = set()
     for alpha in indices:
         if not isinstance(alpha, int) or isinstance(alpha, bool):
-            raise ParseError(f"minterm index {shown(alpha)} is not an integer")
+            raise ParseError(f"minterm index {_shown(alpha)} is not an integer")
         if not (alpha >= 0 and alpha.bit_length() <= n):
-            raise ParseError(f"minterm index {alpha} out of range for n={n}")
+            raise ParseError(f"minterm index {_shown(alpha)} out of range for n={n}")
         if alpha in seen:
-            raise ParseError(f"duplicate minterm index {alpha}")
+            raise ParseError(f"duplicate minterm index {_shown(alpha)}")
         seen.add(alpha)
 
 

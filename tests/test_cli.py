@@ -363,6 +363,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
+    def test_json_integer_past_the_digit_cap_is_1(self):
+        # json.loads raises a plain ValueError for an int literal past the
+        # interpreter's 4300-digit cap.
+        text = '{"n": 2, "A": [1' + "0" * 5000 + "]}"
+        code, out, err = invoke(["orthogonalize"], text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad JSON: ") and err.count("\n") == 1 and len(err) < 200
+
+    def test_a_long_integer_entry_is_echoed_by_its_size(self):
+        text = '{"n": 2, "A": [1' + "0" * 4000 + "]}"
+        code, out, err = invoke(["orthogonalize"], text)
+        assert (code, out) == (1, "")
+        assert err == "error: minterm index <13288-bit integer> out of range for n=2\n"
+
     def test_a_deep_entry_is_echoed_cut_short(self):
         text = '{"n": 2, "A": [' + "[" * 900 + "]" * 900 + "]}"
         code, out, err = invoke(["orthogonalize"], text)

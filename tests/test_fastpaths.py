@@ -147,6 +147,19 @@ def test_entries_that_are_not_integers_are_echoed_cut_short():
     with pytest.raises(ParseError) as info:
         OrthogonalSystem.from_json_dict({"n": 2, "A": [], "layout": long})
     assert str(info.value) == f"unsupported layout {shown} (expected 'lsb-first')"
+    # An int out of range is named by its size past 128 bits, also past the
+    # interpreter's digit cap, and printed in full up to it.
+    for entry, shown in ((10**4000, "<13288-bit integer>"), (10**5000, "<16610-bit integer>"),
+                         (-(2**128) + 1, str(-(2**128) + 1))):
+        message = f"minterm index {shown} out of range for n=2"
+        with pytest.raises(ValueError) as info:
+            OrthogonalSystem.from_indices(2, [0, entry])
+        assert str(info.value) == message
+        with pytest.raises(ParseError) as info:
+            OrthogonalSystem.from_json_dict({"n": 2, "A": [0, entry]})
+        assert str(info.value) == message
+    with pytest.raises(ParseError, match=r"^duplicate minterm index <13288-bit integer>$"):
+        OrthogonalSystem.from_json_dict({"n": 10**20, "A": [10**4000, 10**4000]})
 
 
 def test_from_indices_accepts_bools_and_rejects_negatives_that_land_in_range():
