@@ -355,33 +355,34 @@ class TestExitCodes:
         code, _, err = invoke(["orthogonalize", "-e", "{not json"])
         assert code == 1
 
-    def test_json_nested_past_the_decoder_is_1(self):
-        # json.loads raises RecursionError here on 3.10-3.12; 3.13 decodes it
-        # and the entry is rejected as no index.  Either way, one short line.
-        text = '{"n": 2, "A": ' + "[" * 5000 + "]" * 5000 + "}"
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # json.loads raises RecursionError here on 3.10-3.12; 3.13 decodes
+            # it and the entry is rejected as no index.
+            '{"n": 2, "A": ' + "[" * 5000 + "]" * 5000 + "}",
+            # A plain ValueError: an int literal past the 4300-digit cap.
+            '{"n": 2, "A": [1' + "0" * 5000 + "]}",
+        ],
+        ids=["nested-5000", "int-5001-digits"],
+    )
+    def test_json_past_the_decoder_is_1(self, text):
         code, out, err = invoke(["orthogonalize"], text)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
-    def test_json_integer_past_the_digit_cap_is_1(self):
-        # json.loads raises a plain ValueError for an int literal past the
-        # interpreter's 4300-digit cap.
-        text = '{"n": 2, "A": [1' + "0" * 5000 + "]}"
-        code, out, err = invoke(["orthogonalize"], text)
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            ("[" * 900 + "]" * 900, "[[[[[[[...]]]]]]] is not an integer"),
+            ("1" + "0" * 4000, "<13288-bit integer> out of range for n=2"),
+        ],
+        ids=["nested-900", "int-4001-digits"],
+    )
+    def test_a_long_entry_is_echoed_cut_short(self, entry, shown):
+        code, out, err = invoke(["orthogonalize"], '{"n": 2, "A": [' + entry + "]}")
         assert (code, out) == (1, "")
-        assert err.startswith("error: bad JSON: ") and err.count("\n") == 1 and len(err) < 200
-
-    def test_a_long_integer_entry_is_echoed_by_its_size(self):
-        text = '{"n": 2, "A": [1' + "0" * 4000 + "]}"
-        code, out, err = invoke(["orthogonalize"], text)
-        assert (code, out) == (1, "")
-        assert err == "error: minterm index <13288-bit integer> out of range for n=2\n"
-
-    def test_a_deep_entry_is_echoed_cut_short(self):
-        text = '{"n": 2, "A": [' + "[" * 900 + "]" * 900 + "]}"
-        code, out, err = invoke(["orthogonalize"], text)
-        assert (code, out) == (1, "")
-        assert err == "error: minterm index [[[[[[[...]]]]]]] is not an integer\n"
+        assert err == f"error: minterm index {shown}\n"
 
     def test_deep_nesting_is_1(self):
         text = "(" * 1200 + "x1" + ")" * 1200 + " = x1 * x2"
