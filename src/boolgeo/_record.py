@@ -2,9 +2,13 @@
 package's value types, without importing :mod:`dataclasses` (and
 :mod:`inspect` with it) when the package starts.
 
-A subclass lists its fields in ``__slots__`` and assigns them in its own
-``__init__`` with :func:`setfield`.  Equality compares the field tuples of
-two instances of one class, the hash is that of the field tuple, and the
+A subclass lists its fields in ``__slots__``.  Unless its body defines
+``__init__``, it gets the one a dataclass would generate: one parameter per
+field, in field order, each stored with :func:`setfield`, then a call to
+``__post_init__`` if the class has one.  A type that needs another
+constructor, such as :class:`~boolgeo.syntax.System`, writes its own and
+stores its fields with :func:`setfield`.  Equality compares the field tuples
+of two instances of one class, the hash is that of the field tuple, and the
 repr reads ``Name(field=value, ...)``, as dataclasses generate them.
 """
 
@@ -39,6 +43,15 @@ class Record:
         cls.__match_args__ = fields
         # The field values as a tuple, which attrgetter of one name is not.
         cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+        if "__init__" not in cls.__dict__:
+            # Generated as dataclasses do it.  __post_init__ is looked up on
+            # each call, so that a wrapper set on the class later still runs.
+            stores = "".join(f"\n    setfield(self, {name!r}, {name})" for name in fields)
+            post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+            scope = {"setfield": setfield, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):{stores}{post}", scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

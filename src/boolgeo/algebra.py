@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from operator import getitem
 
-from ._record import Record, setfield
+from ._record import Record
 from .errors import RankMismatchError
 
 # One machine word of atoms; larger ranks have no desk-scale use.
@@ -40,11 +40,6 @@ class Element(Record):
     """
 
     __slots__ = ("mask", "rank")
-
-    def __init__(self, mask: int, rank: int):
-        setfield(self, "mask", mask)
-        setfield(self, "rank", rank)
-        self.__post_init__()
 
     def __post_init__(self):
         check_rank(self.rank)

@@ -141,7 +141,7 @@ _OPTIONS = {
     "iso": ("decide whether two systems' solution sets are isomorphic", (), (
         _row("files", nargs="*", help="system files (two total inputs needed)"),
         _row("-e", "--expr", action="append", default=[], help="inline system text (repeatable)"),
-        _row("--max-vars", type=int),
+        _MAX_VARS,
         _FORMAT,
     )),
     "stats": ("exact averages and probabilities", (), (
@@ -628,7 +628,6 @@ def _empirical(kind: str, m: int, r: int | None, samples: int, seed: int) -> flo
         return sum(map(operator.eq, zeroed, zeroed)) / samples
     tally = Counter(zeroed)
     if kind == "avg-irr":
-        check_rank(r)
         total = sum(
             systems * geometry.component_count(m - z, r) for z, systems in tally.items()
         )

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import compress, product
 
-from ._record import Record, setfield
+from ._record import Record
 from .algebra import MAX_RANK, Element, bits_text
 from .errors import (
     LimitExceededError,
@@ -238,11 +238,6 @@ class OrthogonalSystem(Record):
 
     __slots__ = ("n", "zeroed_mask")
 
-    def __init__(self, n: int, zeroed_mask: int):
-        setfield(self, "n", n)
-        setfield(self, "zeroed_mask", zeroed_mask)
-        self.__post_init__()
-
     def __post_init__(self):
         if not (isinstance(self.n, int) and 1 <= self.n <= HARD_MAX_VARS):
             _check_var_count(self.n)
@@ -257,13 +252,7 @@ class OrthogonalSystem(Record):
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[MintermIndex]) -> "OrthogonalSystem":
         indices = tuple(indices)
-        try:  # a bad n is reported after a bad entry
-            mask = _mask_from_indices(n, indices)
-            if mask is not None and min(indices, default=0) >= 0:
-                return cls(n, mask)
-        except (TypeError, ValueError, LimitExceededError):
-            pass
-        for alpha in indices:
+        for alpha in indices:  # a bad n is reported after a bad entry
             if not isinstance(alpha, int):
                 raise TypeError(f"minterm index {_shown(alpha)} is not an integer")
             if not (alpha >= 0 and alpha.bit_length() <= n):
@@ -369,11 +358,6 @@ class ZPoint(Record):
 
     __slots__ = ("n", "cells")
 
-    def __init__(self, n: int, cells: tuple[Element, ...]):
-        setfield(self, "n", n)
-        setfield(self, "cells", cells)
-        self.__post_init__()
-
     def __post_init__(self):
         if len(self.cells) != (1 << self.n):
             raise ValueError(
@@ -428,11 +412,6 @@ class XPoint(Record):
     in variable order."""
 
     __slots__ = ("names", "values")
-
-    def __init__(self, names: tuple[str, ...], values: tuple[Element, ...]):
-        setfield(self, "names", names)
-        setfield(self, "values", values)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(self.names) != len(self.values):
@@ -499,11 +478,6 @@ def truth_table(t: Term, variables: Sequence[str]) -> int:
     except KeyError as exc:
         name = exc.args[0]
         raise MissingVariableError(f"variable {name!r} is not in the variable list") from None
-
-
-def table_bit(table: int, alpha: MintermIndex) -> int:
-    """Entry ``alpha`` of a truth table word."""
-    return (table >> alpha) & 1
 
 
 def orthogonalize(system: System, *, max_vars: int | None = None) -> OrthogonalSystem:

@@ -41,38 +41,21 @@ class Term:
 class Var(Term, Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        setfield(self, "name", name)
-
 
 class Const(Term, Record):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        setfield(self, "value", value)
 
 
 class Join(Term, Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
 
 class Meet(Term, Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
 
 class Complement(Term, Record):
     __slots__ = ("term",)
-
-    def __init__(self, term: Term):
-        setfield(self, "term", term)
 
 
 ZERO = Const(False)
@@ -81,10 +64,6 @@ ONE = Const(True)
 
 class Equation(Record):
     __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Term, rhs: Term):
-        setfield(self, "lhs", lhs)
-        setfield(self, "rhs", rhs)
 
 
 class System(Record):

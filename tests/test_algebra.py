@@ -49,6 +49,7 @@ class TestOperations:
     def test_complement(self):
         assert complement(el([0], 3)) == el([1, 2], 3)
         assert complement(Element.zero(4)) == Element.one(4)
+        assert complement(Element.zero(4)).is_one and not el([1, 2], 3).is_one
 
     def test_complement_involution(self):
         for x in elements(3):

@@ -331,6 +331,14 @@ class TestStats:
         exact = 12870 / 65536
         assert abs(rate - exact) < 0.05
 
+    def test_samples_take_every_rank_the_exact_value_takes(self):
+        # The exact value admits 1 <= r <= m, past the algebra's rank cap.
+        _, exact, _ = invoke(["stats", "--avg-irr", "256", "100"])
+        code, out, err = invoke(["stats", "--avg-irr", "256", "100", "--samples", "10"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"avg-irr m=256 r=100: {exact.rstrip()}"
+        assert out.splitlines()[1].startswith("  empirical: ")
+
     def test_requires_a_computation(self):
         code, _, err = invoke(["stats"])
         assert code == 4

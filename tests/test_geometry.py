@@ -93,6 +93,9 @@ class TestDecompose:
         parts = decompose(EXAMPLE, 2)
         assert [c.zeroed for c in parts] == [(0, 2), (1, 2), (2, 3)]
 
+    def test_repr_gives_sizes(self):
+        assert repr(decompose(EXAMPLE, 2)) == "Decomposition(n=2, zeroed=1, rank=2, components=3)"
+
     def test_irreducible_decomposes_as_itself(self):
         assert list(decompose(EXAMPLE, 3)) == [EXAMPLE]
 

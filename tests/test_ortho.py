@@ -30,7 +30,6 @@ from boolgeo import (
     z_from_x,
 )
 from boolgeo import eval_term
-from boolgeo.ortho import table_bit
 from oracles import all_xpoints, random_term, system_family, system_for_zero_set
 
 X1, X2 = Var("x1"), Var("x2")
@@ -107,7 +106,7 @@ class TestTruthTable:
                     names,
                     tuple(Element((alpha >> i) & 1, 1) for i in range(3)),
                 )
-                assert table_bit(table, alpha) == eval_term(t, point).mask
+                assert (table >> alpha) & 1 == eval_term(t, point).mask
 
 
 class TestOrthogonalize:
@@ -320,6 +319,7 @@ class TestZPointType:
     def test_is_orthogonal(self):
         good = ZPoint(1, (Element.from_atoms([0], 2), Element.from_atoms([1], 2)))
         assert good.is_orthogonal()
+        assert good[1] == Element.from_atoms([1], 2)
         overlapping = ZPoint(1, (Element.one(2), Element.one(2)))
         assert not overlapping.is_orthogonal()
         gappy = ZPoint(1, (Element.from_atoms([0], 2), Element.zero(2)))
@@ -333,6 +333,7 @@ class TestXPointType:
         )
         assert p.names == ("a", "b")
         assert p["a"] == Element.one(1)
+        assert list(p.as_dict().items()) == [("a", Element.one(1)), ("b", Element.zero(1))]
 
     def test_from_mapping_missing_name(self):
         with pytest.raises(MissingVariableError):
@@ -341,6 +342,17 @@ class TestXPointType:
     def test_names_and_values_match_in_length(self):
         with pytest.raises(ValueError, match="^names and values differ in length$"):
             XPoint(("a",), ())
+
+    @pytest.mark.parametrize(
+        "names, ranks, message",
+        [
+            (("a", "a"), (1, 1), "duplicate variable names"),
+            (("a", "b"), (2, 1), r"values of mixed ranks \[1, 2\]"),
+        ],
+    )
+    def test_names_are_distinct_and_ranks_agree(self, names, ranks, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            XPoint(names, tuple(map(Element.zero, ranks)))
 
     def test_lookup_miss_is_key_error(self):
         p = XPoint(("a",), (Element.one(1),))

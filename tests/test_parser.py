@@ -106,7 +106,8 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   -e EXPR, --expr EXPR  inline system text (repeatable)
-  --max-vars MAX_VARS
+  --max-vars MAX_VARS   variable limit (default 16 for .beq input, none below
+                        the hard cap for JSON input; $BOOLGEO_MAX_VARS)
   --format {text,json,csv}
                         output format (default text)
 """,
@@ -219,7 +220,8 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   -e, --expr EXPR       inline system text (repeatable)
-  --max-vars MAX_VARS
+  --max-vars MAX_VARS   variable limit (default 16 for .beq input, none below
+                        the hard cap for JSON input; $BOOLGEO_MAX_VARS)
   --format {text,json,csv}
                         output format (default text)
 """,

@@ -74,6 +74,8 @@ class TestAvgIrrExhaustive:
             avg_irr_exhaustive(5, 2)
         with pytest.raises(ValueError):
             avg_irr_exhaustive(0, 1)
+        with pytest.raises(ValueError, match=r"^need 1 <= r <= m, got r=5, m=4$"):
+            avg_irr_exhaustive(2, 5)
 
 
 def test_binomial_identity_chain():

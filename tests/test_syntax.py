@@ -1,6 +1,7 @@
 """Parsing and printing of terms, equations and systems."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from boolgeo import (
     ParseError,
     System,
     Var,
+    format_equation,
     format_system,
     format_term,
     parse_system,
@@ -162,6 +164,10 @@ class TestFormat:
         assert text == "!((a + 1))"
         assert parse_term(text) == t
 
+    def test_format_equation(self):
+        equation = Equation(Meet(X1, X2), Complement(Const(True)))
+        assert format_equation(equation) == "(x1 * x2) = !(1)"
+
     def test_format_system_round_trips(self):
         s = parse_system("vars x1, x2, x3;\nx2 = 1; x1 * x3 = x2")
         assert parse_system(format_system(s)) == s
@@ -255,6 +261,17 @@ class TestSystemType:
     def test_rejects_undeclared_equation_variables(self):
         with pytest.raises(ValueError):
             System(("x1",), (Equation(X2, Const(False)),))
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [(Var(3), "variable name must be a str, got 3"), (Join(1, 2), "not a term: 2")],
+        ids=["Var(3)", "Join(1, 2)"],
+    )
+    def test_terms_are_checked_when_compiled(self, term, message):
+        # A term's constructor stores its fields as given; System refuses
+        # what is not a term when it compiles the equations.
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            System(("x1",), [Equation(term, X1)])
 
     def test_empty_equation_list_is_valid(self):
         s = System(("x1", "x2"), ())
